@@ -7,8 +7,10 @@
 //!
 //! * [`universal::Universal`] — Herlihy's wait-free universal
 //!   construction over any deterministic [`seq::Sequential`]
-//!   specification (CAS consensus + helping + log replay).
-//! * [`queue::WfQueue`] / [`queue::WfStack`] — typed instantiations.
+//!   specification (CAS consensus + helping), answering each operation
+//!   by resuming its name's cached state: `O(k)` amortized per call.
+//! * [`queue::WfQueue`] / [`queue::WfStack`] / [`register::WfRegister`]
+//!   — typed instantiations.
 //! * [`snapshot::Snapshot`] — the Afek et al. wait-free atomic snapshot.
 //! * [`counter::SlotCounter`] — per-name slotted counter, the
 //!   contention-free shape that a bounded name space makes possible.
@@ -27,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cached;
 pub mod consensus;
 pub mod counter;
 mod ordering;
@@ -37,10 +38,17 @@ pub mod seq;
 pub mod snapshot;
 pub mod universal;
 
-pub use cached::CachedUniversal;
 pub use counter::{FetchAddCounter, SlotCounter};
 pub use queue::{WfQueue, WfStack};
 pub use register::WfRegister;
 pub use seq::Sequential;
 pub use snapshot::Snapshot;
 pub use universal::Universal;
+
+// The typed payloads cross threads inside the resiliency wrapper.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<WfQueue<u64>>();
+    send_sync::<WfStack<u64>>();
+    send_sync::<WfRegister<u64>>();
+};

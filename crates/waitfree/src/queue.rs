@@ -89,6 +89,20 @@ mod tests {
     }
 
     #[test]
+    fn long_queue_log_stays_fast_enough_to_finish() {
+        // The benchmark's shape: alternating enqueue/dequeue under two
+        // names, so the queue stays short while the log grows to 20k
+        // operations. Replaying the whole history per op would crawl.
+        let pairs = if cfg!(miri) { 150 } else { 10_000 };
+        let q = WfQueue::new(2);
+        for i in 0..pairs {
+            q.enqueue(i % 2, i);
+            assert_eq!(q.dequeue((i + 1) % 2), Some(i));
+        }
+        assert_eq!(q.dequeue(0), None);
+    }
+
+    #[test]
     fn concurrent_stack_conserves_elements() {
         let k = 3;
         let per = 60;

@@ -1,8 +1,10 @@
 //! Typed wait-free multi-writer register, instantiating the universal
 //! construction.
 //!
-//! For a *single*-writer-per-name register with scan support, prefer
-//! [`crate::snapshot::Snapshot`], which is far cheaper; `WfRegister`
+//! Each operation costs `O(k)` amortized, but every write and read adds
+//! a log node that lives until the register is dropped. For a
+//! *single*-writer-per-name register with scan support, prefer
+//! [`crate::snapshot::Snapshot`], which keeps no log; `WfRegister`
 //! exists for the true multi-writer case (any name may overwrite) and as
 //! the simplest end-to-end exercise of [`crate::universal::Universal`].
 

@@ -4,7 +4,9 @@
 //! with a deterministic `apply` function over a value-like operation
 //! type. The universal construction in [`crate::universal`] turns any
 //! such specification into a linearizable, wait-free `k`-process object
-//! by agreeing on a total order of operations and replaying them.
+//! by agreeing on a total order of operations; each name then replays
+//! the operations ordered since its own previous one onto the state it
+//! cached then.
 
 use std::collections::VecDeque;
 
@@ -13,7 +15,9 @@ use std::collections::VecDeque;
 /// `apply` must be a pure function of the object state and the operation:
 /// replaying the same operation sequence from [`Default::default`] must
 /// always produce the same states and responses. (No randomness, no
-/// clocks, no interior mutability.)
+/// clocks, no interior mutability.) The universal construction relies
+/// on this to resume each name from the state it cached after its
+/// previous operation instead of replaying the whole history.
 pub trait Sequential: Default {
     /// The operation type (the "invocation"). Cloned freely by helpers.
     type Op: Clone + Send + Sync;

@@ -1,12 +1,25 @@
 //! A wait-free universal construction for `k` processes.
 //!
-//! This is the classic Herlihy construction: operations are *announced*,
-//! threaded onto a totally ordered log by winning (or being helped
-//! through) a CAS-based consensus per log cell, and responses are
-//! computed by deterministically replaying the log prefix. Helping makes
-//! it wait-free: a process that keeps losing consensus is eventually
-//! pointed to by `(seq + 1) mod k` and every active process proposes *its*
-//! announced node until it is threaded.
+//! This is Herlihy's construction: operations are *announced*, threaded
+//! onto a totally ordered log by winning (or being helped through) a
+//! CAS-based consensus per log cell, and responses are computed by
+//! replaying the log. Helping makes it wait-free: a process that keeps
+//! losing consensus is eventually pointed to by `(seq + 1) mod k` and
+//! every active process proposes *its* announced node until it is
+//! threaded.
+//!
+//! Each name keeps a *resume point*: the sequential state it
+//! materialized after its previous operation, plus the log node that
+//! state corresponds to. The next operation by that name replays only
+//! the decided cells between that node and its own, instead of the whole
+//! log from the sentinel. This is sound because the log is append-only,
+//! a decided cell never changes, and `S` is deterministic: replaying the
+//! cached state forward reproduces exactly the state a full replay would
+//! compute. The cache belongs to the *name*, not to a thread — under the
+//! k-assignment wrapper names pass between threads, and each cache sits
+//! behind its own mutex, which is uncontended because one name has one
+//! live holder. Helping never touches the caches, so the threading loop
+//! stays wait-free.
 //!
 //! This is exactly the kind of **wait-free k-process object** the paper's
 //! methodology presumes (§1): wrap a `Universal<S>` for `k` processes in
@@ -16,15 +29,16 @@
 //!
 //! ## Costs and caveats
 //!
-//! * `apply` replays the whole log prefix to compute its response, so the
-//!   amortized cost grows with history length — faithful to the textbook
-//!   construction, fine for control-plane objects, wrong for hot
-//!   counters (use [`crate::counter::SlotCounter`] for those).
+//! * `apply` costs `O(k)` amortized: each name applies each log cell at
+//!   most once over its lifetime, so `k` names replay a log of `m`
+//!   operations in `O(k·m)` sequential steps in total. A single call by
+//!   a name that sat idle while the others ran replays everything they
+//!   appended meanwhile.
 //! * Log nodes are reclaimed when the `Universal` is dropped, not during
-//!   operation (the log is the object's history and must stay readable
-//!   by laggards).
+//!   operation, so memory grows with the history until `Drop`.
 
 use kex_util::sync::atomic::{AtomicPtr, AtomicUsize};
+use kex_util::sync::Mutex;
 
 use crate::ordering::SEQ_CST;
 
@@ -55,13 +69,25 @@ impl<S: Sequential> Node<S> {
     }
 }
 
+/// Everything the construction keeps per name.
+struct Slot<S: Sequential> {
+    /// The name's most recently announced node.
+    announce: AtomicPtr<Node<S>>,
+    /// The latest threaded node the name has seen.
+    head: AtomicPtr<Node<S>>,
+    /// The state after applying the log up to and including the node;
+    /// `None` means "start from the sentinel with `S::default()`".
+    cache: Mutex<Option<(*mut Node<S>, S)>>,
+}
+
 /// A linearizable, wait-free shared object for `k` processes, built from
 /// any deterministic [`Sequential`] specification.
 ///
 /// Process identities are *names* in `0..k` — pass each operation the
 /// name of the calling process. Two concurrent calls with the same name
 /// are a logic error (the k-assignment wrapper rules them out by
-/// construction).
+/// construction); they may lose wait-freedom but still answer
+/// correctly.
 ///
 /// ```rust
 /// use kex_waitfree::seq::{CounterOp, SeqCounter};
@@ -73,22 +99,21 @@ impl<S: Sequential> Node<S> {
 /// assert_eq!(counter.apply(1, CounterOp::Get), 3);
 /// ```
 pub struct Universal<S: Sequential> {
-    announce: Vec<AtomicPtr<Node<S>>>,
-    head: Vec<AtomicPtr<Node<S>>>,
+    slots: Box<[Slot<S>]>,
     tail: *mut Node<S>,
-    k: usize,
 }
 
-// SAFETY: all shared mutable state is behind atomics; nodes are written
-// once (at creation) before being published and are immutable afterwards
-// except for their atomic fields. `S` itself is only materialized
-// thread-locally during replay.
-unsafe impl<S: Sequential> Send for Universal<S> where S::Op: Send + Sync {}
-unsafe impl<S: Sequential> Sync for Universal<S> where S::Op: Send + Sync {}
+// SAFETY: all shared mutable state is behind atomics or the per-name
+// mutexes; nodes are written once (at creation) before being published
+// and are immutable afterwards except for their atomic fields. A cached
+// `S` only moves between threads through its name's mutex, hence
+// `S: Send`.
+unsafe impl<S: Sequential + Send> Send for Universal<S> where S::Op: Send + Sync {}
+unsafe impl<S: Sequential + Send> Sync for Universal<S> where S::Op: Send + Sync {}
 
 impl<S: Sequential> std::fmt::Debug for Universal<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Universal").field("k", &self.k).finish()
+        f.debug_struct("Universal").field("k", &self.k()).finish()
     }
 }
 
@@ -103,25 +128,32 @@ impl<S: Sequential> Universal<S> {
         // The sentinel occupies log position 1.
         unsafe { (*tail).seq.store(1, SEQ_CST) };
         Universal {
-            announce: (0..k).map(|_| AtomicPtr::new(tail)).collect(),
-            head: (0..k).map(|_| AtomicPtr::new(tail)).collect(),
+            slots: (0..k)
+                .map(|_| Slot {
+                    announce: AtomicPtr::new(tail),
+                    head: AtomicPtr::new(tail),
+                    cache: Mutex::new(None),
+                })
+                .collect(),
             tail,
-            k,
         }
     }
 
     /// The process bound `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.slots.len()
     }
 
     /// The node with the largest sequence number among the per-process
     /// heads (every threaded node is reachable from it via `next`).
     fn max_head(&self) -> *mut Node<S> {
+        // SAFETY (both derefs): the sentinel and every node a head
+        // points to come from `Node::new` and are freed only by `Drop`,
+        // which has exclusive access.
         let mut best = self.tail;
         let mut best_seq = unsafe { (*best).seq.load(SEQ_CST) };
-        for h in &self.head {
-            let node = h.load(SEQ_CST);
+        for slot in self.slots.iter() {
+            let node = slot.head.load(SEQ_CST);
             let seq = unsafe { (*node).seq.load(SEQ_CST) };
             if seq > best_seq {
                 best = node;
@@ -134,25 +166,32 @@ impl<S: Sequential> Universal<S> {
     /// Apply `op` on behalf of the process named `me` (`0..k`); returns
     /// the linearized response.
     ///
-    /// Wait-free: completes in `O(k)` consensus rounds plus one log
-    /// replay, regardless of the scheduling (or crash) of other
-    /// processes.
+    /// Wait-free: completes in `O(k)` consensus rounds plus a replay
+    /// from this name's previous operation, regardless of the scheduling
+    /// (or crash) of other processes.
     ///
     /// # Panics
     /// Panics if `me >= k`.
     pub fn apply(&self, me: usize, op: S::Op) -> S::Resp {
-        assert!(me < self.k, "name {me} out of range 0..{}", self.k);
+        let k = self.k();
+        assert!(me < k, "name {me} out of range 0..{k}");
+        let slot = &self.slots[me];
         let mine = Node::new(Some(op));
-        self.announce[me].store(mine, SEQ_CST);
-        self.head[me].store(self.max_head(), SEQ_CST);
+        slot.announce.store(mine, SEQ_CST);
+        slot.head.store(self.max_head(), SEQ_CST);
 
+        // SAFETY: every node reached here (heads, announcements, decided
+        // successors, cached resume points) comes from `Node::new` and
+        // is freed only by `Drop`. A node with nonzero `seq` is on the
+        // decided chain, so walking successors from a cached node whose
+        // `seq` is below ours reaches ours before the chain ends.
         unsafe {
             while (*mine).seq.load(SEQ_CST) == 0 {
-                let before = self.head[me].load(SEQ_CST);
+                let before = slot.head.load(SEQ_CST);
                 let before_seq = (*before).seq.load(SEQ_CST);
                 // Help the process whose turn it is; otherwise push our
                 // own node.
-                let help = self.announce[before_seq % self.k].load(SEQ_CST);
+                let help = self.slots[before_seq % k].announce.load(SEQ_CST);
                 let prefer = if (*help).seq.load(SEQ_CST) == 0 {
                     help
                 } else {
@@ -160,48 +199,33 @@ impl<S: Sequential> Universal<S> {
                 };
                 let after = (*before).decide_next.decide(prefer);
                 (*after).seq.store(before_seq + 1, SEQ_CST);
-                self.head[me].store(after, SEQ_CST);
+                slot.head.store(after, SEQ_CST);
             }
-            self.head[me].store(mine, SEQ_CST);
+            slot.head.store(mine, SEQ_CST);
 
-            // Replay the log up to (and including) our node, following
-            // the decided successor chain (complete by construction).
-            let mut state = S::default();
-            let mut cur = (*self.tail).decide_next.peek();
+            // Resume from this name's previous node and replay the
+            // decided chain up to (and including) ours. The cache is
+            // taken out while replaying: if `S::apply` panics, the next
+            // call falls back to the sentinel instead of a torn state.
+            // A same-name call that overlapped this one may have cached
+            // a node past ours; that also restarts from the sentinel.
+            let mut cache = slot.cache.lock();
+            let (mut cur, mut state) = match cache.take() {
+                Some((node, state)) if (*node).seq.load(SEQ_CST) < (*mine).seq.load(SEQ_CST) => {
+                    (node, state)
+                }
+                _ => (self.tail, S::default()),
+            };
             loop {
+                cur = (*cur).decide_next.peek();
                 debug_assert!(!cur.is_null(), "log ended before our node");
                 let resp = state.apply((*cur).op.as_ref().expect("non-sentinel"));
                 if cur == mine {
+                    *cache = Some((mine, state));
                     return resp;
                 }
-                cur = (*cur).decide_next.peek();
             }
         }
-    }
-
-    /// Replay the whole current log into a fresh state and return it —
-    /// a linearizable snapshot of the object as of some point during the
-    /// call. Used by tests and for draining an object at shutdown.
-    pub fn replay(&self) -> S {
-        let mut state = S::default();
-        unsafe {
-            let stop = self.max_head();
-            if (*stop).seq.load(SEQ_CST) <= 1 {
-                return state;
-            }
-            let mut cur = (*self.tail).decide_next.peek();
-            loop {
-                if cur.is_null() {
-                    break;
-                }
-                state.apply((*cur).op.as_ref().expect("non-sentinel"));
-                if cur == stop {
-                    break;
-                }
-                cur = (*cur).decide_next.peek();
-            }
-        }
-        state
     }
 }
 
@@ -227,6 +251,9 @@ mod tests {
     use crate::seq::{CounterOp, QueueOp, SeqCounter, SeqQueue};
     use std::collections::HashSet;
 
+    /// Long enough that replaying the whole history per op would crawl.
+    const LONG: usize = if cfg!(miri) { 300 } else { 20_000 };
+
     #[test]
     fn sequential_use_matches_the_spec() {
         let q: Universal<SeqQueue<u32>> = Universal::new(2);
@@ -240,7 +267,7 @@ mod tests {
     #[test]
     fn counter_linearizes_concurrent_increments() {
         let k = 4;
-        let per = 200;
+        let per = 300;
         let c: Universal<SeqCounter> = Universal::new(k);
         std::thread::scope(|s| {
             for name in 0..k {
@@ -256,9 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn queue_never_duplicates_or_loses_elements() {
+    fn queue_conserves_elements_under_concurrency() {
         let k = 3;
-        let per = 100u32;
+        let per = 150u32;
         let q: Universal<SeqQueue<u32>> = Universal::new(k);
         let popped: Vec<Vec<u32>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..k)
@@ -278,7 +305,6 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Drain the remainder.
         let mut all: Vec<u32> = popped.into_iter().flatten().collect();
         while let Some(v) = q.apply(0, QueueOp::Dequeue) {
             all.push(v);
@@ -318,39 +344,70 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let mut all: Vec<(usize, u32)> = seen.into_iter().flatten().collect();
+        let mut drain = Vec::new();
         while let Some(v) = q.apply(0, QueueOp::Dequeue) {
-            all.push(v);
+            drain.push(v);
         }
-        // Gather per-producer orders as dequeued from the FIFO: since the
-        // queue is FIFO and each producer enqueues in program order, the
-        // global dequeue order restricted to one producer must be sorted.
-        // (all combines per-thread pops and the final drain, which is a
-        // suffix of the FIFO order; checking the drain suffix suffices.)
-        let drain_start = all.len().saturating_sub(10);
-        let drain = &all[drain_start..];
-        for name in 0..k {
-            let seqs: Vec<u32> = drain
-                .iter()
-                .filter(|(n, _)| *n == name)
-                .map(|(_, i)| *i)
-                .collect();
-            assert!(
-                seqs.windows(2).all(|w| w[0] < w[1]),
-                "producer {name} items reordered: {seqs:?}"
-            );
+        // One consumer's dequeues are in linearization order, so each
+        // producer's items appear in increasing order within every
+        // consumer's sequence and within the final drain.
+        for got in seen.iter().chain(std::iter::once(&drain)) {
+            for name in 0..k {
+                let seqs: Vec<u32> = got
+                    .iter()
+                    .filter(|(n, _)| *n == name)
+                    .map(|(_, i)| *i)
+                    .collect();
+                assert!(
+                    seqs.windows(2).all(|w| w[0] < w[1]),
+                    "producer {name} items reordered: {seqs:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn replay_reconstructs_the_state() {
-        let q: Universal<SeqQueue<u8>> = Universal::new(2);
-        q.apply(0, QueueOp::Enqueue(7));
-        q.apply(1, QueueOp::Enqueue(9));
-        q.apply(0, QueueOp::Dequeue);
-        let mut replayed = q.replay();
-        use crate::seq::Sequential;
-        assert_eq!(replayed.apply(&QueueOp::Dequeue), Some(9));
+    fn helping_threads_a_stalled_announcement() {
+        // Name 1 announces and then stops taking steps before threading
+        // its node. Name 0's first cell is name 1's turn (`1 % 2`), so it
+        // threads name 1's node first and its own second.
+        let c: Universal<SeqCounter> = Universal::new(2);
+        let stalled = Node::new(Some(CounterOp::Add(10)));
+        c.slots[1].announce.store(stalled, SEQ_CST);
+        assert_eq!(c.apply(0, CounterOp::Add(1)), 11);
+        // SAFETY: the node is now on the log, which `c` frees on drop.
+        assert_eq!(unsafe { (*stalled).seq.load(SEQ_CST) }, 2);
+        assert_eq!(c.apply(1, CounterOp::Get), 11);
+    }
+
+    #[test]
+    fn long_log_stays_fast_enough_to_finish() {
+        // Quadratic replay would make this test crawl; the per-name
+        // resume point keeps it linear.
+        let c: Universal<SeqCounter> = Universal::new(2);
+        for i in 0..LONG {
+            c.apply(i % 2, CounterOp::Add(1));
+        }
+        assert_eq!(c.apply(0, CounterOp::Get), LONG as i64);
+    }
+
+    #[test]
+    fn overlapping_calls_with_one_name_stay_correct() {
+        // Misuse the wrapper would rule out: two threads share name 0.
+        // Whichever finishes second may find a cache past its own node.
+        let per = if cfg!(miri) { 20 } else { 2_000 };
+        let c: Universal<SeqCounter> = Universal::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let c = &c;
+                s.spawn(move || {
+                    for _ in 0..per {
+                        c.apply(0, CounterOp::Add(1));
+                    }
+                });
+            }
+        });
+        assert_eq!(c.apply(1, CounterOp::Get), 2 * per);
     }
 
     #[test]

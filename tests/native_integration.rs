@@ -129,6 +129,95 @@ fn resilient_wait_free_queue_conserves_items() {
     assert_eq!(set.len(), all.len(), "duplicates");
 }
 
+// The wrapped queue crosses threads with its per-name caches inside.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Resilient<WfQueue<u64>>>();
+};
+
+#[test]
+fn queue_names_pass_between_threads_and_survive_a_crashed_holder() {
+    // Six threads share two names, so each name's cached queue state is
+    // resumed by whichever thread holds the name next. Halfway through,
+    // one holder crashes inside the object right after an enqueue: its
+    // name and that name's cache are never returned, and the survivors
+    // finish on the other name alone.
+    type Item = (usize, u32);
+    let (n, k, per) = (6, 2, 150u32);
+    let crasher = n - 1;
+    let q = Resilient::new(n, k, WfQueue::<Item>::new(k));
+    let crashed = AtomicUsize::new(usize::MAX);
+    let after_crash = std::sync::Barrier::new(n);
+    let results: Vec<(Vec<Item>, HashSet<usize>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|p| {
+                let (q, crashed, after_crash) = (&q, &crashed, &after_crash);
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    let mut names_after = HashSet::new();
+                    for i in 0..2 * per {
+                        if i == per {
+                            if p == crasher {
+                                let guard = q.enter(p);
+                                guard.object().enqueue(guard.name(), (p, i));
+                                crashed.store(guard.name(), SeqCst);
+                                std::mem::forget(guard);
+                            }
+                            after_crash.wait();
+                            if p == crasher {
+                                break;
+                            }
+                        }
+                        q.with(p, |q, name| q.enqueue(name, (p, i)));
+                        let (v, name) = q.with(p, |q, name| (q.dequeue(name), name));
+                        got.extend(v);
+                        if i >= per {
+                            names_after.insert(name);
+                        }
+                    }
+                    (got, names_after)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let crashed = crashed.load(SeqCst);
+    let mut consumers: Vec<Vec<Item>> = Vec::new();
+    for (p, (got, names_after)) in results.into_iter().enumerate() {
+        if p != crasher {
+            let expect: HashSet<usize> = [1 - crashed].into();
+            assert_eq!(names_after, expect, "survivor {p} after the crash");
+        }
+        consumers.push(got);
+    }
+    consumers.push(std::iter::from_fn(|| q.with(0, |q, name| q.dequeue(name))).collect());
+
+    // Multiset: every enqueued item is dequeued exactly once.
+    let mut all: Vec<Item> = consumers.iter().flatten().copied().collect();
+    all.sort_unstable();
+    let mut expect: Vec<Item> = (0..n)
+        .flat_map(|p| (0..if p == crasher { per + 1 } else { 2 * per }).map(move |i| (p, i)))
+        .collect();
+    expect.sort_unstable();
+    assert_eq!(all, expect, "items lost or duplicated");
+
+    // Per-producer FIFO: one consumer's dequeues are in queue order, so
+    // each producer's items reach it in increasing order.
+    for got in &consumers {
+        for p in 0..n {
+            let mine: Vec<u32> = got
+                .iter()
+                .filter(|(from, _)| *from == p)
+                .map(|&(_, i)| i)
+                .collect();
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "producer {p} reordered: {mine:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn resilient_snapshot_scans_are_coherent() {
     let n = 8;
