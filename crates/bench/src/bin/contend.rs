@@ -1,10 +1,13 @@
-//! E12: wall-clock contention benchmark over the native algorithms.
+//! E9 + E12: wall-clock contention benchmark over the native algorithms.
 //!
-//! For each native algorithm this spawns T ∈ {1, 2, 4, k, 2k,
-//! oversubscribed} threads doing closed-loop acquire→CS→release cycles
-//! and reports throughput, sampled latency percentiles, and per-thread
-//! fairness. Always writes a JSON document (default
-//! `BENCH_contend.json`) via the shared report writer.
+//! For each row this spawns T ∈ {1, 2, 4, k, 2k, oversubscribed}
+//! threads doing closed-loop acquire→CS→release cycles and reports
+//! throughput, sampled latency percentiles, and per-thread fairness.
+//! Every row is built over one run-wide universe `N = max(16, largest
+//! T)`, so `T = 1` is E9's uncontended row at `N = 16` and the chain,
+//! tree and fast-path rows stay distinct algorithms at every `T`.
+//! Always writes a JSON document (default `BENCH_contend.json`) via the
+//! shared report writer.
 //!
 //! ```text
 //! contend [--smoke] [--json <path>] [--duration-ms <n>]
@@ -12,11 +15,12 @@
 //!         [--baseline <seqcst.json>] [--backoff]
 //! ```
 //!
-//! * `--smoke` — CI mode: 2 threads, short window, schema self-check.
+//! * `--smoke` — CI mode: 2 threads, short window, and a self-check
+//!   that every `k > 1` row has `n > 2k`.
 //! * `--baseline` — a document produced by the `--features seqcst`
 //!   build of this binary; per-algorithm throughput deltas between the
 //!   SeqCst and relaxed-ordering builds are recorded under
-//!   `relaxation` (the tentpole's before/after evidence).
+//!   `relaxation`.
 //! * `--backoff` — additionally sweep `BackoffCfg` thresholds on three
 //!   representative algorithms (justifies the library defaults).
 //!
@@ -27,28 +31,35 @@ use std::time::Duration;
 use kex_bench::contend::{run_contended, RunConfig, RunStats};
 use kex_bench::JsonSink;
 use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, KAssignment, McsLock, QueueKex, RawKex, Resilient,
-    SemaphoreKex, TreeKex, YangAndersonLock,
+    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, QueueKex, RawKex,
+    Resilient, SemaphoreKex, TreeKex, YangAndersonLock,
 };
 use kex_obs::json::{self, Json};
 use kex_util::{set_global_backoff, BackoffCfg};
-use kex_waitfree::{SlotCounter, WfQueue};
+use kex_waitfree::{FetchAddCounter, SlotCounter, Snapshot, WfQueue};
 
 /// The resiliency/admission knob for the k > 1 algorithms.
 const K: usize = 4;
 
-/// One benchmarked algorithm: name, its `k`, and an operation factory
-/// (fresh instance per thread count, so no state leaks across runs).
+/// Smallest run-wide universe: E9's uncontended rows are at `N = 16`,
+/// and `16 > 2K` keeps the tree and fast path from collapsing into one
+/// `(N, K)` chain block.
+const MIN_UNIVERSE: usize = 16;
+
+/// One benchmarked row: name, its admission bound `k` (`None` for the
+/// bare fetch-and-add baseline, which admits everyone), and an
+/// operation factory over the universe `n` (a fresh instance per
+/// measured window, so no state leaks across runs).
 struct Algo {
     name: &'static str,
-    k: usize,
-    make: fn(threads: usize) -> Box<dyn Fn(usize) + Sync>,
+    k: Option<usize>,
+    make: fn(n: usize) -> Box<dyn Fn(usize) + Sync>,
 }
 
-/// Universe size for a `k`-slot algorithm driven by `threads` threads
-/// (pids are thread indices; the paper's algorithms need `k < n`).
-fn universe(threads: usize, k: usize) -> usize {
-    threads.max(k + 1)
+/// The run-wide universe for a thread grid: pids are thread indices,
+/// so `N` covers the largest `T`.
+fn universe(threads: &[usize]) -> usize {
+    threads.iter().copied().max().unwrap_or(1).max(MIN_UNIVERSE)
 }
 
 fn kex_op<L: RawKex + 'static>(lock: L) -> Box<dyn Fn(usize) + Sync> {
@@ -63,70 +74,123 @@ fn algorithms() -> Vec<Algo> {
     vec![
         Algo {
             name: "fig2",
-            k: K,
-            make: |t| kex_op(CcChainKex::new(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(CcChainKex::new(n, K)),
         },
         Algo {
             name: "fig6",
-            k: K,
-            make: |t| kex_op(DsmChainKex::new(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(DsmChainKex::new(n, K)),
         },
         Algo {
             name: "tree",
-            k: K,
-            make: |t| kex_op(TreeKex::cc(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(TreeKex::cc(n, K)),
         },
         Algo {
             name: "fast_path",
-            k: K,
-            make: |t| kex_op(FastPathKex::new(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(FastPathKex::new(n, K)),
+        },
+        Algo {
+            name: "fast_path_dsm",
+            k: Some(K),
+            make: |n| kex_op(FastPathKex::new_dsm(n, K)),
+        },
+        Algo {
+            name: "graceful",
+            k: Some(K),
+            make: |n| kex_op(GracefulKex::new(n, K)),
         },
         Algo {
             name: "fig1",
-            k: K,
-            make: |t| kex_op(QueueKex::new(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(QueueKex::new(n, K)),
         },
         Algo {
             name: "semaphore",
-            k: K,
-            make: |t| kex_op(SemaphoreKex::new(universe(t, K), K)),
+            k: Some(K),
+            make: |n| kex_op(SemaphoreKex::new(n, K)),
         },
+        // §5's k = 1 comparison: the reference spin locks beside the
+        // paper's (N, 1) instances.
         Algo {
             name: "mcs",
-            k: 1,
-            make: |t| kex_op(McsLock::new(t.max(2))),
+            k: Some(1),
+            make: |n| kex_op(McsLock::new(n)),
         },
         Algo {
             name: "yang_anderson",
-            k: 1,
-            make: |t| kex_op(YangAndersonLock::new(t.max(2))),
+            k: Some(1),
+            make: |n| kex_op(YangAndersonLock::new(n)),
+        },
+        Algo {
+            name: "fig2_k1",
+            k: Some(1),
+            make: |n| kex_op(CcChainKex::new(n, 1)),
+        },
+        Algo {
+            name: "tree_k1",
+            k: Some(1),
+            make: |n| kex_op(TreeKex::cc(n, 1)),
+        },
+        Algo {
+            name: "fast_path_k1",
+            k: Some(1),
+            make: |n| kex_op(FastPathKex::new(n, 1)),
         },
         Algo {
             name: "assignment",
-            k: K,
-            make: |t| {
-                let pool = KAssignment::new(universe(t, K), K);
+            k: Some(K),
+            make: |n| {
+                let pool = KAssignment::new(n, K);
                 Box::new(move |p| {
                     let guard = pool.enter(p);
                     std::hint::black_box(guard.name());
                 })
             },
         },
+        // The payload cost spectrum (DESIGN.md §7): one hot word with no
+        // admission, per-name slots behind the wrapper, a k-register
+        // snapshot, and the universal construction's consensus log.
+        Algo {
+            name: "fetch_add_counter",
+            k: None,
+            make: |_| {
+                let counter = FetchAddCounter::new();
+                Box::new(move |_| {
+                    std::hint::black_box(counter.add(1));
+                })
+            },
+        },
         Algo {
             name: "resilient_counter",
-            k: K,
-            make: |t| {
-                let obj = Resilient::new(universe(t, K), K, SlotCounter::new(K));
+            k: Some(K),
+            make: |n| {
+                let obj = Resilient::new(n, K, SlotCounter::new(K));
                 Box::new(move |p| {
                     obj.with(p, |counter, name| counter.add(name, 1));
                 })
             },
         },
         Algo {
+            name: "resilient_snapshot",
+            k: Some(K),
+            make: |n| {
+                let obj = Resilient::new(n, K, Snapshot::<u64>::new(K));
+                Box::new(move |p| {
+                    obj.with(p, |snap, name| {
+                        snap.update(name, p as u64);
+                        std::hint::black_box(snap.scan());
+                    });
+                })
+            },
+        },
+        Algo {
             name: "resilient_queue",
-            k: K,
-            make: |t| {
-                let obj = Resilient::new(universe(t, K), K, WfQueue::<u64>::new(K));
+            k: Some(K),
+            make: |n| {
+                let obj = Resilient::new(n, K, WfQueue::<u64>::new(K));
                 Box::new(move |p| {
                     obj.with(p, |queue, name| {
                         queue.enqueue(name, p as u64);
@@ -245,6 +309,16 @@ fn stats_json(s: &RunStats) -> Json {
     ])
 }
 
+/// The median-throughput run of `windows` measured windows of `case`
+/// at `threads` threads, each window on a fresh instance over `n`.
+fn median_run(case: &Algo, n: usize, threads: usize, cfg: &RunConfig, windows: usize) -> RunStats {
+    let mut samples: Vec<_> = (0..windows)
+        .map(|_| run_contended(threads, cfg, (case.make)(n)))
+        .collect();
+    samples.sort_by(|a, z| a.ops_per_sec().total_cmp(&z.ops_per_sec()));
+    samples[samples.len() / 2]
+}
+
 /// Pull `algorithms[name].runs[threads].ops_per_sec` out of a baseline
 /// document produced by the `--features seqcst` build.
 fn baseline_throughput(doc: &Json, algo: &str, threads: usize) -> Option<f64> {
@@ -264,6 +338,7 @@ fn main() {
     let opts = parse_args();
     let mut sink = JsonSink::from_args_or_default("BENCH_contend.json");
     let cfg = RunConfig::with_duration(opts.duration);
+    let n = universe(&opts.threads);
     let cases: Vec<Algo> = algorithms()
         .into_iter()
         .filter(|a| {
@@ -288,11 +363,16 @@ fn main() {
             );
             std::process::exit(2);
         }
+        let base_n = doc.get("n").and_then(Json::as_u64);
+        if base_n != Some(n as u64) {
+            eprintln!("contend: --baseline document has n {base_n:?}, this run has n = {n}");
+            std::process::exit(2);
+        }
         doc
     });
 
     println!(
-        "contend: build={} threads={:?} window={:?} cpus={}",
+        "contend: build={} n={n} threads={:?} window={:?} cpus={}",
         ordering_build(),
         opts.threads,
         opts.duration,
@@ -300,6 +380,17 @@ fn main() {
     );
 
     let mut failures = 0u32;
+    // A `k > 1` row at `n <= 2k` would measure one `(n, k)` chain block,
+    // not the tree or fast path it is named after.
+    if opts.smoke {
+        for case in cases
+            .iter()
+            .filter(|c| c.k.is_some_and(|k| k > 1 && n <= 2 * k))
+        {
+            eprintln!("  FAIL: {} runs at n = {n} <= 2k", case.name);
+            failures += 1;
+        }
+    }
     let mut algo_docs = Vec::new();
     let mut deltas: Vec<(String, usize, f64, f64, f64)> = Vec::new();
     // Median of several measured windows per cell: on a small host the
@@ -309,14 +400,9 @@ fn main() {
     for case in &cases {
         let mut runs = Vec::new();
         for &threads in &opts.threads {
-            let op = (case.make)(threads);
-            let mut samples: Vec<_> = (0..windows)
-                .map(|_| run_contended(threads, &cfg, &op))
-                .collect();
-            samples.sort_by(|a, z| a.ops_per_sec().total_cmp(&z.ops_per_sec()));
-            let stats = samples[samples.len() / 2];
+            let stats = median_run(case, n, threads, &cfg, windows);
             println!(
-                "  {:>17} T={:<2} {:>12.0} ops/s  p50={:>7} p90={:>7} p99={:>7} p999={:>8} ns  ops/thread={}..{}",
+                "  {:>18} T={:<2} {:>12.0} ops/s  p50={:>7} p90={:>7} p99={:>7} p999={:>8} ns  ops/thread={}..{}",
                 case.name,
                 threads,
                 stats.ops_per_sec(),
@@ -344,7 +430,8 @@ fn main() {
         }
         algo_docs.push(Json::obj(vec![
             ("name", case.name.into()),
-            ("k", case.k.into()),
+            ("n", n.into()),
+            ("k", case.k.map_or(Json::Null, Json::from)),
             ("runs", Json::arr(runs)),
         ]));
     }
@@ -361,12 +448,7 @@ fn main() {
             for name in ["fig2", "fast_path", "mcs"] {
                 let case = algorithms().into_iter().find(|a| a.name == name).unwrap();
                 let threads = if opts.smoke { 2 } else { 8 };
-                let op = (case.make)(threads);
-                let mut samples: Vec<_> = (0..windows)
-                    .map(|_| run_contended(threads, &cfg, &op))
-                    .collect();
-                samples.sort_by(|a, z| a.ops_per_sec().total_cmp(&z.ops_per_sec()));
-                let stats = samples[samples.len() / 2];
+                let stats = median_run(&case, n, threads, &cfg, windows);
                 println!(
                     "    spin={spin_limit:<2} yield={yield_limit:<2} {name:>9}: {:>12.0} ops/s",
                     stats.ops_per_sec()
@@ -383,7 +465,7 @@ fn main() {
         set_global_backoff(BackoffCfg::DEFAULT);
     }
 
-    sink.put("schema", "kex-bench/contend/v1".into());
+    sink.put("schema", "kex-bench/contend/v2".into());
     sink.put("ordering_build", ordering_build().into());
     sink.put(
         "cpus",
@@ -392,6 +474,7 @@ fn main() {
             .into(),
     );
     sink.put("k", K.into());
+    sink.put("n", n.into());
     sink.put("duration_ms", (opts.duration.as_millis() as u64).into());
     sink.put("warmup_ms", (cfg.warmup.as_millis() as u64).into());
     sink.put("latency_sample_every", cfg.sample_every.into());
@@ -459,10 +542,10 @@ fn main() {
     sink.finish();
 
     if failures > 0 {
-        eprintln!("contend: {failures} run(s) made no progress");
+        eprintln!("contend: {failures} check(s) failed");
         std::process::exit(1);
     }
     if opts.smoke {
-        println!("SMOKE OK: every algorithm made progress at T=2");
+        println!("SMOKE OK: every algorithm made progress at T=2 with n = {n}");
     }
 }

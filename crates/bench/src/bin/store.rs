@@ -12,7 +12,7 @@
 //! store still serving, and finally kills the last slot of one shard to
 //! show the non-blocking surface shedding exactly that shard's traffic.
 //! Always writes a JSON document (default `BENCH_store.json`, schema
-//! `kex-bench/store/v1`) via the shared report writer.
+//! `kex-bench/store/v2`) via the shared report writer.
 //!
 //! ```text
 //! store [--smoke] [--json <path>] [--duration-ms <n>]
@@ -234,17 +234,13 @@ fn main() {
             let store = build_store(&opts, shards, n);
             let ops_baseline: Vec<u64> = store.stats().iter().map(|s| s.ops).collect();
             let rngs = ThreadRngs::new(threads, SEED ^ (shards as u64) << 32 ^ threads as u64);
-            let reads = AtomicU64::new(0);
-            let writes = AtomicU64::new(0);
             let op = |t: usize| {
                 let r = rngs.next(t);
                 let key = zipf.sample(rngs.uniform(t));
                 if r % 100 < opts.read_pct {
                     std::hint::black_box(store.get(t, key));
-                    reads.fetch_add(1, Ordering::Relaxed);
                 } else {
                     store.put(t, key, r & 0xFFFF).unwrap();
-                    writes.fetch_add(1, Ordering::Relaxed);
                 }
             };
             let mut samples: Vec<_> = (0..windows)
@@ -272,8 +268,6 @@ fn main() {
                 ("threads", threads.into()),
                 ("n_per_shard", n.into()),
                 ("run", stats_json(&stats)),
-                ("reads", reads.load(Ordering::Relaxed).into()),
-                ("writes", writes.load(Ordering::Relaxed).into()),
                 ("imbalance", imbalance_json(&store, &ops_baseline)),
             ]));
         }
@@ -399,7 +393,7 @@ fn main() {
     ]);
 
     // ---- document -------------------------------------------------------
-    sink.put("schema", "kex-bench/store/v1".into());
+    sink.put("schema", "kex-bench/store/v2".into());
     sink.put("ordering_build", ordering_build().into());
     sink.put(
         "cpus",

@@ -1,5 +1,5 @@
-//! Multi-threaded contention measurement machinery for the `contend`
-//! binary (EXPERIMENTS.md E12).
+//! The native wall-clock run loop, shared by the `contend` (E9 + E12)
+//! and `store` (E13) binaries.
 //!
 //! [`run_contended`] spawns `T` OS threads that hammer one shared
 //! operation (an acquire→critical-section→release cycle) for a fixed
@@ -9,8 +9,7 @@
 //! `Instant::now` overhead does not dominate short critical sections,
 //! and recorded into a log-linear [`LatencyHist`] whose buckets bound
 //! the relative error to ~6% — plenty for the shapes these benches
-//! chart, in the same spirit as the [`crate::microbench`] runner's
-//! median-only reporting.
+//! chart.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;

@@ -11,13 +11,18 @@
 //!   Theorems 1–10 (E2–E6): parameter sweeps, measured vs. formula.
 //! * `cargo run --release -p kex-bench --bin resilience` — E7: failure
 //!   injection, survivors' progress at `f = 0 .. k` crashes.
-//! * `cargo bench -p kex-bench` — E9: native wall-clock scalability on
-//!   the host machine (via the in-tree [`microbench`] runner).
-//! * `cargo run --release -p kex-bench --bin contend` — E12:
-//!   multi-threaded contention (throughput, latency percentiles,
-//!   fairness) per native algorithm; build with `--features seqcst` and
-//!   pass that run back via `--baseline` to record the memory-ordering
-//!   relaxation delta (the committed `BENCH_contend.json`).
+//! * `cargo run --release -p kex-bench --bin contend` — E9 + E12:
+//!   native wall-clock throughput, latency percentiles and fairness per
+//!   algorithm and payload object, uncontended (`T = 1`) through
+//!   oversubscribed, all at one universe `N`; build with `--features
+//!   seqcst` and pass that run back via `--baseline` to record the
+//!   memory-ordering relaxation delta (the committed
+//!   `BENCH_contend.json`).
+//! * `cargo run --release -p kex-bench --features obs --bin native_obs`
+//!   — E11: instrumented remote-reference estimates against the
+//!   theorem bounds (`BENCH_native.json`).
+//! * `cargo run --release -p kex-bench --bin store` — E13: the sharded
+//!   store's Zipfian grid and crash mix (`BENCH_store.json`).
 //!
 //! This library crate holds the shared measurement machinery.
 
@@ -25,7 +30,6 @@
 
 pub mod contend;
 pub mod harness;
-pub mod microbench;
 pub mod report;
 pub mod store_load;
 

@@ -15,9 +15,9 @@
 //! * **Routing** ([`shard_of`]): a SplitMix64-style seeded hash assigns each
 //!   key to one of a fixed set of shards; deterministic per seed, so
 //!   every process and every recovery pass agrees on ownership.
-//! * **Admission** ([`Shard`]): each shard owns a `Resilient<O>` with
-//!   its own `(n, k)` — per-shard `k` tunes resiliency/contention
-//!   independently (hot shards wider, cold shards narrower).
+//! * **Admission** ([`Shard`]): each shard owns its own
+//!   `Resilient<O>` over the store-wide `(n, k)`, so contention and
+//!   crashes in one shard never consume another shard's slots.
 //! * **Lanes** ([`LaneJournal`]): the k-assignment *name* doubles as the
 //!   index of an append-only per-name operation journal. A crashed
 //!   process consumes its name forever, so the lane it leaves behind
@@ -36,10 +36,10 @@
 //! layer beneath it).
 //!
 //! Resilience composition across shards: each shard tolerates
-//! `k_s - 1` crashed holders independently, so the store as a whole
+//! `k - 1` crashed holders independently, so the store as a whole
 //! serves every key whose shard has a live slot — a crash budget of
-//! `Σ (k_s - 1)` placed adversarially, in the spirit of the t-resilient
-//! composition line in PAPERS.md. The `store` binary in `kex-bench`
+//! up to `k - 1` per shard, placed adversarially, in the spirit of the
+//! t-resilient composition line in PAPERS.md. The `store` binary in `kex-bench`
 //! measures throughput/latency across shard × thread grids and the
 //! crash-mix regime (EXPERIMENTS.md E13); `docs/STORE.md` has the
 //! architecture tour.

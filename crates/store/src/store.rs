@@ -1,5 +1,5 @@
 //! The sharded store: seeded-hash routing over a fixed set of
-//! [`Shard`]s, each with an independently configured `(n, k)`.
+//! [`Shard`]s, each an `(n, k)` resilient object.
 
 use crate::hash::shard_of;
 use crate::object::{KvCells, ShardObject};
@@ -20,9 +20,8 @@ pub struct StoreConfig {
     /// budget (crashed ids are never reclaimed — see the registry
     /// note in `kex-core`).
     pub n: usize,
-    /// Default admission/resiliency bound per shard (each shard
-    /// tolerates `k - 1` crashed holders). Override per shard with
-    /// [`StoreConfig::shard_ks`].
+    /// Admission/resiliency bound of every shard (each shard
+    /// tolerates `k - 1` crashed holders).
     pub k: usize,
     /// Routing seed: all processes (and any recovery pass) must agree
     /// on it.
@@ -31,10 +30,6 @@ pub struct StoreConfig {
     pub capacity: usize,
     /// Journaled operations retained per lane.
     pub journal_depth: usize,
-    /// Optional per-shard `k` overrides (index = shard; missing entries
-    /// fall back to `k`) — hot shards can run wider admission than cold
-    /// ones.
-    pub shard_ks: Vec<usize>,
 }
 
 impl StoreConfig {
@@ -48,13 +43,7 @@ impl StoreConfig {
             seed: 0x6B65_785F_7374_6F72, // "kex_stor"
             capacity: 1024,
             journal_depth: 8,
-            shard_ks: Vec::new(),
         }
-    }
-
-    /// The admission bound for `shard`.
-    pub fn k_of(&self, shard: usize) -> usize {
-        self.shard_ks.get(shard).copied().unwrap_or(self.k)
     }
 }
 
@@ -87,22 +76,19 @@ impl KvStore {
 }
 
 impl<O: ShardObject> Store<O> {
-    /// Build a store whose shard objects come from `make(shard_index)`,
-    /// honoring `cfg`'s per-shard `k` overrides.
+    /// Build a store whose shard objects come from `make(shard_index)`.
     pub fn with_objects(cfg: &StoreConfig, make: impl FnMut(usize) -> O) -> Self {
         assert!(cfg.shards >= 1, "a store needs at least one shard");
+        assert!(
+            cfg.k >= 1 && cfg.k < cfg.n,
+            "need 1 <= k < n (k = {}, n = {})",
+            cfg.k,
+            cfg.n
+        );
         let mut make = make;
         Store {
             shards: (0..cfg.shards)
-                .map(|s| {
-                    let k = cfg.k_of(s);
-                    assert!(
-                        k >= 1 && k < cfg.n,
-                        "shard {s}: need 1 <= k < n (k = {k}, n = {})",
-                        cfg.n
-                    );
-                    Shard::new(cfg.n, k, cfg.journal_depth, make(s))
-                })
+                .map(|s| Shard::new(cfg.n, cfg.k, cfg.journal_depth, make(s)))
                 .collect(),
             seed: cfg.seed,
         }
@@ -223,16 +209,6 @@ mod tests {
         });
         assert_eq!(pairs.len(), 64);
         assert!(pairs.iter().all(|(k, v)| *v == k * 2));
-    }
-
-    #[test]
-    fn per_shard_k_overrides_apply() {
-        let mut cfg = StoreConfig::new(3, 8, 2);
-        cfg.shard_ks = vec![4, 1];
-        let store = KvStore::new(cfg);
-        assert_eq!(store.shard(0).k(), 4);
-        assert_eq!(store.shard(1).k(), 1);
-        assert_eq!(store.shard(2).k(), 2); // fallback
     }
 
     #[test]
