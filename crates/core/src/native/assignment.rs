@@ -73,6 +73,18 @@ impl KAssignment {
         // the Figure-7 test-and-sets are attributed to this entry section.
         let entry = crate::obs::span(crate::obs::Section::Entry, p);
         self.kex.acquire(p);
+        self.take_name(p, entry)
+    }
+
+    /// Non-blocking [`KAssignment::enter`]: `None`, without waiting or a
+    /// trace, when [`RawKex::try_acquire`] refuses. The name is then
+    /// taken as in `enter`: `<= k` holders means a free name.
+    pub fn try_enter(&self, p: usize) -> Option<NameGuard<'_>> {
+        let entry = crate::obs::span(crate::obs::Section::Entry, p);
+        self.kex.try_acquire(p).then(|| self.take_name(p, entry))
+    }
+
+    fn take_name(&self, p: usize, entry: crate::obs::SpanGuard) -> NameGuard<'_> {
         let name = self.names.acquire_name();
         drop(entry);
         NameGuard {

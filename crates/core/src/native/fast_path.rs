@@ -30,6 +30,12 @@ fn try_grab(x: &AtomicIsize) -> bool {
     .is_ok()
 }
 
+/// Returns a [`try_grab`] slot, handing our critical section on.
+#[inline]
+fn put_back(x: &AtomicIsize) {
+    x.fetch_add(1, ord::ACQ_REL);
+}
+
 /// Figure 4 over a tree slow path — Theorems 3 and 7.
 ///
 /// With contention at most `k`, an acquisition costs one fetch-and-add
@@ -141,10 +147,9 @@ impl RawKex for FastPathKex {
             } => {
                 // Statements 1–5 of Figure 4. `slow_flag[p]` is
                 // owner-private (atomic only for `Sync`), so Relaxed.
-                if try_grab(x) {
-                    slow_flag[p].store(0, ord::RELAXED);
-                } else {
-                    slow_flag[p].store(1, ord::RELAXED);
+                let slow_path = !try_grab(x);
+                slow_flag[p].store(usize::from(slow_path), ord::RELAXED);
+                if slow_path {
                     slow.acquire(p);
                 }
                 block.acquire(p);
@@ -167,10 +172,34 @@ impl RawKex for FastPathKex {
                 if slow_flag[p].load(ord::RELAXED) != 0 {
                     slow.release(p);
                 } else {
-                    // Release half pairs with the acquire in `try_grab`,
-                    // handing our critical section to the next grabber.
-                    x.fetch_add(1, ord::ACQ_REL);
+                    put_back(x);
                 }
+            }
+        }
+    }
+
+    /// `Split` grabs `X` first, so the entrant counts among the `<= k`
+    /// fast processes and the `(2k, k)` block keeps its population
+    /// bound; `X` goes back if the block refuses.
+    fn try_acquire(&self, p: usize) -> bool {
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        match &self.inner {
+            FastPathInner::Single(b) => b.try_acquire(p),
+            FastPathInner::Split {
+                x,
+                block,
+                slow_flag,
+                ..
+            } => {
+                if !try_grab(x) {
+                    return false;
+                }
+                if !block.try_acquire(p) {
+                    put_back(x);
+                    return false;
+                }
+                slow_flag[p].store(0, ord::RELAXED);
+                true
             }
         }
     }
@@ -305,7 +334,7 @@ impl RawKex for GracefulKex {
         if d == self.levels.len() {
             self.base.release(p);
         } else {
-            self.levels[d].x.fetch_add(1, ord::ACQ_REL);
+            put_back(&self.levels[d].x);
         }
     }
 }
@@ -313,8 +342,68 @@ impl RawKex for GracefulKex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::testutil::{crash_stress, max_concurrency, occupancy_stress};
+    use crate::native::testutil::{
+        assert_refusal_leaks_nothing, crash_stress, max_concurrency, occupancy_stress,
+    };
+    use kex_util::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::sync::Arc;
     use std::time::Duration;
+
+    #[test]
+    fn refused_try_leaks_nothing_single() {
+        assert_refusal_leaks_nothing(Arc::new(FastPathKex::new(4, 2)));
+    }
+
+    #[test]
+    fn refused_try_leaks_nothing_split() {
+        let kex = Arc::new(FastPathKex::new(8, 2));
+        assert_refusal_leaks_nothing(Arc::clone(&kex));
+        let FastPathInner::Split { x, .. } = &kex.inner else {
+            panic!("n = 8 > 2k is the split shape");
+        };
+        assert_eq!(x.load(SeqCst), 2, "every fast slot is back");
+    }
+
+    #[test]
+    fn split_try_puts_x_back_when_a_slow_holder_fills_the_block() {
+        // n = 5, k = 1: A takes the fast slot, B queues on the slow
+        // path, A releases, B holds the critical section. Now X = 1 but
+        // the block is full, so a try must be refused and return X.
+        let kex = FastPathKex::new(5, 1);
+        let FastPathInner::Split { x, slow_flag, .. } = &kex.inner else {
+            panic!("n = 5 > 2k is the split shape");
+        };
+        let (b_inside, b_leave) = (AtomicBool::new(false), AtomicBool::new(false));
+        kex.acquire(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                kex.acquire(1);
+                b_inside.store(true, SeqCst);
+                while !b_leave.load(SeqCst) {
+                    kex_util::sync::thread::yield_now();
+                }
+                kex.release(1);
+            });
+            while slow_flag[1].load(SeqCst) == 0 {
+                kex_util::sync::thread::yield_now();
+            }
+            kex.release(0);
+            while !b_inside.load(SeqCst) {
+                kex_util::sync::thread::yield_now();
+            }
+            let x_before = x.load(SeqCst);
+            let admitted = kex.try_acquire(2);
+            let x_after = x.load(SeqCst);
+            // Let B leave before asserting, so a failure cannot hang.
+            b_leave.store(true, SeqCst);
+            assert_eq!(x_before, 1, "A returned the fast slot");
+            assert!(!admitted, "B fills the block");
+            assert_eq!(x_after, 1, "the refused try put X back");
+        });
+        assert!(kex.try_acquire(2));
+        kex.release(2);
+        assert_eq!(x.load(SeqCst), 1);
+    }
 
     #[test]
     fn fast_path_never_exceeds_k() {

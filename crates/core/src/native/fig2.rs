@@ -63,6 +63,14 @@ impl CcStage {
         // the stage released.
         self.q.store(p, ord::SEQ_CST);
     }
+
+    /// Statement 2 as footnote 2's range-safe decrement, at its `SeqCst`:
+    /// takes a slot only while `X > 0`, so `p` never becomes a waiter.
+    pub(crate) fn try_acquire(&self) -> bool {
+        self.x
+            .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |v| (v > 0).then_some(v - 1))
+            .is_ok()
+    }
 }
 
 /// Theorem 1's inductive chain: `(N, k)`-exclusion as Figure-2 stages
@@ -144,12 +152,26 @@ impl RawKex for CcChainKex {
             stage.release(p);
         }
     }
+
+    fn try_acquire(&self, p: usize) -> bool {
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        let taken = self.stages.iter().take_while(|s| s.try_acquire()).count();
+        // A refusal gives back the stages taken, bottom-up, as an exit.
+        let admitted = taken == self.stages.len();
+        if !admitted {
+            self.stages[..taken].iter().rev().for_each(|s| s.release(p));
+        }
+        admitted
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::testutil::{occupancy_stress, OccupancyReport};
+    use crate::native::testutil::{
+        assert_refusal_leaks_nothing, occupancy_stress, OccupancyReport,
+    };
+    use kex_util::sync::atomic::Ordering::SeqCst;
 
     #[test]
     fn never_more_than_k_inside() {
@@ -173,6 +195,16 @@ mod tests {
         let kex = CcChainKex::new(6, 3);
         let seen = crate::native::testutil::max_concurrency(&kex, 3, Duration::from_secs(2));
         assert_eq!(seen, 3, "k slots should be usable");
+    }
+
+    #[test]
+    fn refused_try_releases_the_stages_it_took() {
+        // (5, 2): with two holders a try takes stages 4 and 3, is
+        // refused by stage 2, and must give both back.
+        let kex = std::sync::Arc::new(CcChainKex::new(5, 2));
+        assert_refusal_leaks_nothing(std::sync::Arc::clone(&kex));
+        let xs: Vec<isize> = kex.stages.iter().map(|s| s.x.load(SeqCst)).collect();
+        assert_eq!(xs, [4, 3, 2], "every stage's X is back at its j");
     }
 
     #[test]

@@ -41,6 +41,17 @@ pub trait RawKex: Send + Sync {
     /// Must only be called by the process that currently holds a slot.
     fn release(&self, p: usize);
 
+    /// Non-blocking enter: takes a slot only if that needs no waiting.
+    /// `true` must be matched by a [`RawKex::release`]; `false` leaves
+    /// no trace. The default always refuses, which is sound because a
+    /// shedding caller must never be admitted when it would have to
+    /// wait. `CcChainKex` and `FastPathKex::new` override it with
+    /// footnote 2's range-safe decrement; the tree, graceful, DSM
+    /// (hence `FastPathKex::new_dsm`) and baseline algorithms do not.
+    fn try_acquire(&self, _p: usize) -> bool {
+        false
+    }
+
     /// RAII-style entry: acquires and returns a guard that releases on
     /// drop.
     fn enter(&self, p: usize) -> KexGuard<'_>

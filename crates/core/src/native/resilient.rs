@@ -12,10 +12,6 @@
 //! cost of an `N`-process wait-free construction.
 
 use super::assignment::{KAssignment, NameGuard};
-use super::ordering as ord;
-use super::raw::RawKex;
-use kex_util::sync::atomic::AtomicUsize;
-use kex_util::CachePadded;
 
 /// A `(k-1)`-resilient wrapper around a `k`-process object.
 ///
@@ -36,55 +32,25 @@ use kex_util::CachePadded;
 ///     cells.0[name].fetch_add(1, Ordering::Relaxed);
 /// });
 /// ```
+#[derive(Debug)]
 pub struct Resilient<O> {
     assign: KAssignment,
-    /// Admission tickets outstanding: every process between taking a
-    /// ticket (start of [`Resilient::enter`]) and dropping its guard.
-    /// Over-counts actual slot holders by the processes still spinning
-    /// in the k-exclusion entry section — which only happens when the
-    /// house is full, so `entrants < k` soundly implies a free slot
-    /// (the invariant [`Resilient::try_enter`] relies on). A crashed
-    /// process never returns its ticket, exactly as it never returns
-    /// its slot.
-    entrants: CachePadded<AtomicUsize>,
     obj: O,
-}
-
-impl<O: std::fmt::Debug> std::fmt::Debug for Resilient<O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Resilient")
-            .field("assign", &self.assign)
-            .field("obj", &self.obj)
-            .finish()
-    }
-}
-
-/// One admission ticket; returns it on drop. Held inside
-/// [`ResilientGuard`] *after* the name guard so the slot is released
-/// before the gate opens (a `try_enter` winner then finds a free slot
-/// immediately).
-struct Ticket<'a>(&'a AtomicUsize);
-
-impl Drop for Ticket<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, ord::ACQ_REL);
-    }
 }
 
 /// Holds one of the `k` slots, the unique name that came with it, and a
 /// shared reference to the wrapped object. Obtained from
 /// [`Resilient::enter`] / [`Resilient::try_enter`]; dropping it leaves
-/// the wrapper (name first, then slot, then the admission ticket).
+/// the wrapper (name first, then slot).
 ///
 /// Leaking the guard (`std::mem::forget`) models a crash inside the
-/// object: the slot, name, and ticket are consumed permanently, which is
+/// object: the slot and name are consumed permanently, which is
 /// precisely the paper's failure model — the `kex-store` crash-injection
 /// paths do exactly this.
 #[must_use = "dropping the guard immediately releases the name and slot"]
 pub struct ResilientGuard<'a, O> {
     obj: &'a O,
     inner: NameGuard<'a>,
-    _ticket: Ticket<'a>,
 }
 
 impl<'a, O> ResilientGuard<'a, O> {
@@ -125,16 +91,6 @@ impl<O: Sync> Resilient<O> {
     pub fn new(n: usize, k: usize, obj: O) -> Self {
         Resilient {
             assign: KAssignment::new(n, k),
-            entrants: CachePadded::new(AtomicUsize::new(0)),
-            obj,
-        }
-    }
-
-    /// Wrap `obj` over a caller-chosen k-exclusion algorithm.
-    pub fn over(kex: Box<dyn RawKex>, obj: O) -> Self {
-        Resilient {
-            assign: KAssignment::over(kex),
-            entrants: CachePadded::new(AtomicUsize::new(0)),
             obj,
         }
     }
@@ -149,13 +105,6 @@ impl<O: Sync> Resilient<O> {
         self.assign.k()
     }
 
-    /// Processes currently admitted or waiting to be admitted — an
-    /// approximate occupancy gauge (crashed holders count forever).
-    /// Monitoring only; the value may be stale by the time it returns.
-    pub fn occupancy(&self) -> usize {
-        self.entrants.load(ord::RELAXED)
-    }
-
     /// Enter the wrapper: process `p` waits for one of the `k` slots,
     /// receives a unique name, and gets guarded access to the object.
     ///
@@ -163,46 +112,25 @@ impl<O: Sync> Resilient<O> {
     /// most `k-1` participating processes have crash-failed, every call
     /// completes.
     pub fn enter(&self, p: usize) -> ResilientGuard<'_, O> {
-        self.entrants.fetch_add(1, ord::ACQ_REL);
-        let ticket = Ticket(&self.entrants);
         ResilientGuard {
             obj: &self.obj,
             inner: self.assign.enter(p),
-            _ticket: ticket,
         }
     }
 
-    /// Non-blocking [`Resilient::enter`]: `None` when all `k` slots are
-    /// (or may be) held, so callers can shed load instead of spinning.
+    /// Non-blocking [`Resilient::enter`]: `None` when taking a slot
+    /// would mean waiting, so callers can shed load instead of spinning.
     ///
-    /// The admission test is conservative: it refuses whenever `k`
-    /// tickets are outstanding, which includes processes still in the
-    /// k-exclusion entry section and processes that crashed while
-    /// holding a slot. On success the subsequent slot acquisition is
-    /// bounded — fewer than `k` tickets were out, so a slot is free and
-    /// total protocol contention is at most `k`.
+    /// Admission is [`KAssignment::try_enter`], decided by the fast
+    /// path's own footnote-2 counters. Crashed holders never free their
+    /// slots, so after `k` crashes every call is refused; a call that
+    /// runs while no other process enters or leaves is admitted if fewer
+    /// than `k` are held.
     pub fn try_enter(&self, p: usize) -> Option<ResilientGuard<'_, O>> {
-        let k = self.assign.k();
-        // Footnote-2 shape (cf. `fast_path::try_grab`): one atomic
-        // conditional increment decides admission; no waiting on failure.
-        if self
-            .entrants
-            .fetch_update(ord::ACQ_REL, ord::ACQUIRE, |v| {
-                if v < k {
-                    Some(v + 1)
-                } else {
-                    None
-                }
-            })
-            .is_err()
-        {
-            return None;
-        }
-        let ticket = Ticket(&self.entrants);
+        let inner = self.assign.try_enter(p)?;
         Some(ResilientGuard {
             obj: &self.obj,
-            inner: self.assign.enter(p),
-            _ticket: ticket,
+            inner,
         })
     }
 
@@ -347,9 +275,14 @@ mod tests {
         assert_eq!(g.pid(), 3);
         assert!(g.name() < 2);
         g.object().exercise(g.name());
-        assert_eq!(r.occupancy(), 1);
+        // One of the two slots is held: one more is admitted, then none.
+        let second = r.try_enter(0).expect("one slot is still free");
+        assert!(r.try_enter(1).is_none());
+        drop(second);
         drop(g);
-        assert_eq!(r.occupancy(), 0);
+        // Both slots are free again.
+        let both = (r.try_enter(0), r.try_enter(1));
+        assert!(both.0.is_some() && both.1.is_some());
     }
 
     #[test]
@@ -359,7 +292,7 @@ mod tests {
         // blocks while slots remain).
         let g0 = r.enter(0);
         let g1 = r.enter(1);
-        assert_eq!(r.occupancy(), 2);
+        assert_ne!(g0.name(), g1.name(), "two live holders");
         // House full: shed without spinning.
         assert_eq!(r.try_with(2, |_, _| ()), None);
         assert!(r.try_enter(3).is_none());
@@ -376,13 +309,13 @@ mod tests {
     #[test]
     fn try_with_sheds_permanently_after_k_crashes() {
         // Both holders crash in the critical section (leaked guards):
-        // their slots, names, and tickets are consumed forever, so the
+        // their slots and names are consumed forever, so the
         // non-blocking path sheds every subsequent operation instead of
         // hanging the caller.
         let r = Resilient::new(8, 2, PerNameCells::new(2));
         std::mem::forget(r.enter(0));
         std::mem::forget(r.enter(1));
-        assert_eq!(r.occupancy(), 2);
+        assert!(r.try_enter(7).is_none(), "both slots are crash-consumed");
         for p in 2..6 {
             assert_eq!(r.try_with(p, |_, _| ()), None);
         }

@@ -2,6 +2,7 @@
 //! threads.
 
 use kex_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::raw::RawKex;
@@ -122,4 +123,45 @@ pub(crate) fn crash_stress<K: RawKex>(kex: &K, crashed: &[usize], cycles: u64) -
         }
     });
     total.load(SeqCst)
+}
+
+/// Checks that a refused [`RawKex::try_acquire`] leaves no trace: with
+/// pids `0..k` inside, a try by every other pid is refused, and after
+/// the holders leave, `k` blocking holders still enter without waiting
+/// and every try is refused again. Finally a try into the empty
+/// algorithm is admitted.
+pub(crate) fn assert_refusal_leaks_nothing<K: RawKex + 'static>(kex: Arc<K>) {
+    let k = kex.k();
+    for round in 0..2 {
+        hold_without_waiting(&kex, k);
+        for p in k..kex.n() {
+            assert!(
+                !kex.try_acquire(p),
+                "round {round}: pid {p} got past {k} holders"
+            );
+        }
+        for p in 0..k {
+            kex.release(p);
+        }
+    }
+    assert!(
+        kex.try_acquire(k),
+        "a try into an empty algorithm was refused"
+    );
+    kex.release(k);
+}
+
+/// Blocking-acquires pids `0..count` on a helper thread. Panics if they
+/// are not all held within two seconds, i.e. if an acquisition waited.
+fn hold_without_waiting<K: RawKex + 'static>(kex: &Arc<K>, count: usize) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let kex = Arc::clone(kex);
+    kex_util::sync::thread::spawn(move || {
+        for p in 0..count {
+            kex.acquire(p);
+        }
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(2))
+        .expect("a blocking acquisition waited: a refused try leaked a slot");
 }

@@ -447,6 +447,79 @@ fn resilient_counter_n3_k2() {
     );
 }
 
+/// The per-name claim table and occupancy counter a [`Resilient`]
+/// model wraps: every admitted process checks at-most-`k` and claims
+/// its name exclusively for the length of its stay.
+struct Claims {
+    inside: AtomicUsize,
+    held: Vec<AtomicBool>,
+}
+
+impl Claims {
+    fn visit(&self, name: usize, k: usize) {
+        let now = self.inside.fetch_add(1, SeqCst) + 1;
+        assert!(now <= k, "k-exclusion violated: {now} > k={k}");
+        assert!(name < k, "name {name} out of 0..{k}");
+        assert!(!self.held[name].swap(true, SeqCst), "duplicate name {name}");
+        self.held[name].store(false, SeqCst);
+        self.inside.fetch_sub(1, SeqCst);
+    }
+}
+
+/// `try_enter` racing blocking `enter`s on `Resilient::new(3, k, ..)`:
+/// pids 0 and 2 enter blocking, pid 1 tries once. A refused try must
+/// leave no trace, so the blocking entrants always finish (a leaked
+/// slot is a deadlock the checker reports) and a final try from the
+/// main thread, once everyone has left, is admitted.
+fn check_try_enter_races_enter(name: &'static str, k: usize) {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let claims = Claims {
+            inside: AtomicUsize::new(0),
+            held: (0..k).map(|_| AtomicBool::new(false)).collect(),
+        };
+        let r = Arc::new(Resilient::new(3, k, claims));
+        let handles: Vec<_> = (0..3)
+            .map(|p| {
+                let r = Arc::clone(&r);
+                thread::spawn(move || {
+                    if p == 1 {
+                        if let Some(g) = r.try_enter(p) {
+                            g.object().visit(g.name(), k);
+                        }
+                    } else {
+                        r.with(p, |claims, name| claims.visit(name, k));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(
+            r.try_with(1, |_, _| ()).is_some(),
+            "a refused try leaked a slot"
+        );
+    });
+    eprintln!(
+        "{name}: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+#[test]
+fn resilient_try_enter_races_enter_split_n3_k1() {
+    // n = 3 > 2k: the try grabs the fast-path `X`, then the (2, 1)
+    // block, and puts `X` back if a slow-path holder has the block.
+    check_try_enter_races_enter("resilient try/enter split (3,1)", 1);
+}
+
+#[test]
+fn resilient_try_enter_races_enter_single_n3_k2() {
+    // n = 3 <= 2k: the try takes the (3, 2) chain's stages top-down and
+    // releases them if one refuses.
+    check_try_enter_races_enter("resilient try/enter single (3,2)", 2);
+}
+
 // --- observability is inert under loom ------------------------------------
 
 /// Under `cfg(loom)` the `kex_core::obs` shim must be a zero-sized

@@ -24,8 +24,9 @@
 //!   attributes exactly the in-flight operation it died in.
 //! * **Surface**: small capability traits — [`StoreRead`],
 //!   [`StoreWrite`], [`StoreScan`] — with non-blocking `try_*` variants
-//!   that shed load (via [`Resilient::try_with`]) when a shard's `k`
-//!   slots are all held, instead of spinning behind crashed holders.
+//!   that shed load (via [`Resilient::try_with`]) when taking one of a
+//!   shard's `k` slots would mean waiting, instead of spinning behind
+//!   crashed holders.
 //!
 //! The shard objects are **k-process** implementations per the paper's
 //! contract; [`KvCells`] (an atomic-register open-addressed table) is

@@ -74,20 +74,18 @@ impl KvCells {
         self.slots.len()
     }
 
-    fn pack(key: u64, value: u64) -> u64 {
-        assert!(key <= MAX_KEY, "KvCells keys are 32-bit (got {key})");
-        assert!(
-            value <= MAX_VALUE,
-            "KvCells values are 32-bit (got {value})"
-        );
-        (key + 1) << 32 | value
+    /// The slot word for `(key, value)`; `None` when either is out of
+    /// range.
+    fn pack(key: u64, value: u64) -> Option<u64> {
+        (key <= MAX_KEY && value <= MAX_VALUE).then(|| (key + 1) << 32 | value)
     }
 }
 
 impl ShardObject for KvCells {
     fn get(&self, _name: usize, key: u64) -> Option<u64> {
         let cap = self.slots.len();
-        let tag = Self::pack(key, 0) >> 32;
+        // A key above `MAX_KEY` can never have been stored.
+        let tag = Self::pack(key, 0)? >> 32;
         let start = slot_of(key, cap);
         for i in 0..cap {
             let cur = self.slots[(start + i) & (cap - 1)].load(SEQ_CST);
@@ -105,7 +103,7 @@ impl ShardObject for KvCells {
     }
 
     fn put(&self, _name: usize, key: u64, value: u64) -> Result<(), PutError> {
-        let packed = Self::pack(key, value);
+        let packed = Self::pack(key, value).ok_or(PutError::OutOfRange)?;
         let tag = packed >> 32;
         let cap = self.slots.len();
         let start = slot_of(key, cap);
@@ -189,6 +187,17 @@ mod tests {
         // Overwrites of present keys still succeed at capacity.
         kv.put(0, 2, 22).unwrap();
         assert_eq!(kv.get(0, 2), Some(22));
+    }
+
+    #[test]
+    fn out_of_range_keys_and_values_are_refused() {
+        let kv = KvCells::new(4);
+        assert_eq!(kv.put(0, MAX_KEY + 1, 0), Err(PutError::OutOfRange));
+        assert_eq!(kv.put(0, 0, MAX_VALUE + 1), Err(PutError::OutOfRange));
+        assert_eq!(kv.get(0, MAX_KEY + 1), None);
+        kv.put(0, MAX_KEY, MAX_VALUE).unwrap();
+        assert_eq!(kv.get(0, MAX_KEY), Some(MAX_VALUE));
+        assert_eq!(kv.len_unguarded(), 1);
     }
 
     #[test]

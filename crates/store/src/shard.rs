@@ -40,9 +40,6 @@ pub struct ShardStats {
     pub ops: u64,
     /// Non-blocking operations shed.
     pub sheds: u64,
-    /// Processes admitted or waiting right now (crashed holders count
-    /// forever).
-    pub occupancy: usize,
     /// Lanes whose last journaled operation is still in flight — after
     /// crashes, the number of attributable dead holders.
     pub in_flight_lanes: usize,
@@ -139,7 +136,7 @@ impl<O: ShardObject> Shard<O> {
         let name = guard.name();
         self.journal.begin(name, OpKind::Put, key, value);
         let _ = guard.object().put(name, key, value);
-        // The crash: the slot, name, and admission ticket never return.
+        // The crash: the slot and name never return.
         std::mem::forget(guard);
     }
 
@@ -151,7 +148,6 @@ impl<O: ShardObject> Shard<O> {
             keys: self.res.object_unguarded().len_unguarded(),
             ops: self.ops.load(SEQ_CST),
             sheds: self.sheds.load(SEQ_CST),
-            occupancy: self.res.occupancy(),
             in_flight_lanes: self.journal.in_flight_lanes(),
         }
     }
@@ -192,9 +188,14 @@ mod tests {
         // One slot and one lane are gone; survivors still operate.
         shard.put(1, 42, 2).unwrap();
         assert!(shard.get(2, 42).is_some());
-        let stats = shard.stats();
-        assert_eq!(stats.in_flight_lanes, 1);
-        assert_eq!(stats.occupancy, 1);
+        assert_eq!(shard.stats().in_flight_lanes, 1);
+        // The crashed holder keeps its slot: while a live holder has
+        // the other one a try is refused, and once it leaves one is
+        // admitted.
+        let live = shard.res.enter(3);
+        assert_eq!(shard.try_get(4, 42), None);
+        drop(live);
+        assert_eq!(shard.try_get(4, 42), Some(Some(2)));
         // The dead lane names the interrupted op.
         let dead: Vec<_> = (0..2)
             .filter_map(|name| shard.journal().in_flight(name))
@@ -213,6 +214,24 @@ mod tests {
         assert_eq!(shard.try_get(3, 1), None);
         assert_eq!(shard.stats().sheds, 2);
         assert_eq!(shard.stats().in_flight_lanes, 2);
+    }
+
+    #[test]
+    fn out_of_range_put_aborts_instead_of_leaving_a_phantom_crash() {
+        use crate::object::{MAX_KEY, MAX_VALUE};
+        let shard = Shard::new(4, 2, 4, KvCells::new(4));
+        assert_eq!(shard.put(0, MAX_KEY + 1, 0), Err(PutError::OutOfRange));
+        assert_eq!(
+            shard.try_put(1, 0, MAX_VALUE + 1),
+            Some(Err(PutError::OutOfRange))
+        );
+        assert_eq!(shard.get(2, MAX_KEY + 1), None);
+        let stats = shard.stats();
+        assert_eq!(stats.in_flight_lanes, 0);
+        assert_eq!(stats.keys, 0);
+        // Both slots are still free.
+        shard.put(0, 1, 1).unwrap();
+        shard.put(1, 2, 2).unwrap();
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! Every operation takes the calling process id `p` (in `0..n`, the
 //! per-shard universe) because admission and crash accounting are
 //! per-process — this is a *paper-shaped* API, not a `&self`-hides-all
-//! one. The `try_*` variants shed instead of waiting when the target
-//! shard's `k` slots are all held (including slots consumed by crashed
-//! processes), via [`Resilient::try_with`](kex_core::native::Resilient::try_with).
+//! one. The `try_*` variants shed instead of waiting when taking one of
+//! the target shard's `k` slots would mean waiting (slots consumed by
+//! crashed processes are never free), via
+//! [`Resilient::try_with`](kex_core::native::Resilient::try_with).
 
 /// Why a write did not take effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,12 +19,16 @@ pub enum PutError {
     /// The owning shard's object is at capacity for new keys
     /// (overwrites of present keys still succeed).
     ShardFull,
+    /// The key or the value is outside the shard object's range (for
+    /// [`KvCells`](crate::KvCells), above `MAX_KEY` or `MAX_VALUE`).
+    OutOfRange,
 }
 
 impl std::fmt::Display for PutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PutError::ShardFull => write!(f, "shard object is full"),
+            PutError::OutOfRange => write!(f, "key or value out of range"),
         }
     }
 }

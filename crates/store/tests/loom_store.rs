@@ -10,10 +10,10 @@
 //! Under `cfg(loom)` the `kex_util::sync` facade swaps every atomic the
 //! store (and the k-assignment machinery beneath it) touches for the
 //! model-checked versions, so the exact production composition —
-//! route → admission gate → k-exclusion → renaming → object →
-//! journal — is explored. The headline model is the ISSUE-8 one: two
-//! processes race `StoreWrite::put` on the *same key* while one of them
-//! crash-fails inside its critical section.
+//! route → k-exclusion → renaming → object → journal — is explored.
+//! The headline model has two processes race `StoreWrite::put` on the
+//! *same key* while one of them crash-fails inside its critical
+//! section.
 
 #![cfg(loom)]
 
@@ -69,7 +69,11 @@ fn racing_same_key_writes_with_crash_in_cs() {
 
         let stats = store.stats();
         assert_eq!(stats[0].in_flight_lanes, 1, "crash not attributed");
-        assert_eq!(stats[0].occupancy, 1, "crashed ticket not retained");
+        // The survivor returned its slot: a non-blocking read is admitted.
+        assert!(
+            store.try_get(2, KEY).is_some(),
+            "survivor's slot not returned"
+        );
 
         // The dead lane names exactly the interrupted operation.
         let journal = store.shard(0).journal();
@@ -81,6 +85,11 @@ fn racing_same_key_writes_with_crash_in_cs() {
         // And the survivor's lane committed its put.
         let committed: u64 = (0..2).map(|name| journal.committed(name)).sum();
         assert!(committed >= 1, "survivor's commit lost");
+
+        // The crasher never returned its slot: one more crash fills the
+        // shard, and every non-blocking op is shed.
+        store.crash_in_cs(1, KEY, 300);
+        assert_eq!(store.try_get(2, KEY), None, "crashed slot not retained");
     });
     eprintln!(
         "store crash race: {} executions, {} schedule points",
