@@ -105,7 +105,8 @@ const WAITFREE_PREFIX: &str = "crates/waitfree/src/";
 const WAITFREE_ORDERING_MODULE: &str = "crates/waitfree/src/ordering.rs";
 
 /// The store service layer, covered by the same literal-`Ordering::*`
-/// ban (uniformly SeqCst by design, like the wait-free layer).
+/// ban (SeqCst by design, like the wait-free layer, except its one
+/// relaxed `COUNT` constant, which `--features seqcst` also collapses).
 const STORE_PREFIX: &str = "crates/store/src/";
 
 /// The store counterpart of `native::ordering`: defines that crate's

@@ -17,7 +17,9 @@
 //!   every process and every recovery pass agrees on ownership.
 //! * **Admission** ([`Shard`]): each shard owns its own
 //!   `Resilient<O>` over the store-wide `(n, k)`, so contention and
-//!   crashes in one shard never consume another shard's slots.
+//!   crashes in one shard never consume another shard's slots. An op
+//!   is admitted only if it needs a name: writes do, blocking reads
+//!   ([`ShardObject`] reads are name-free) do not.
 //! * **Lanes** ([`LaneJournal`]): the k-assignment *name* doubles as the
 //!   index of an append-only per-name operation journal. A crashed
 //!   process consumes its name forever, so the lane it leaves behind
@@ -31,10 +33,11 @@
 //! The shard objects are **k-process** implementations per the paper's
 //! contract; [`KvCells`] (an atomic-register open-addressed table) is
 //! the stock one. Every atomic in this crate goes through the
-//! [`kex_util::sync`] facade and names its ordering through the audited
-//! constant in `ordering` (uniformly SeqCst — the service layer makes
-//! no relaxation claims; the audited relaxations live in the native
-//! layer beneath it).
+//! [`kex_util::sync`] facade and names its ordering through the
+//! constants in `ordering`: SeqCst for every shared cell (the service
+//! layer makes no relaxation claims about them; the audited relaxations
+//! live in the native layer beneath it), and Relaxed only for the bump
+//! of a single-writer per-process monitoring counter.
 //!
 //! Resilience composition across shards: each shard tolerates
 //! `k - 1` crashed holders independently, so the store as a whole

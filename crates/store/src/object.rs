@@ -25,14 +25,17 @@ pub const MAX_KEY: u64 = (u32::MAX - 1) as u64;
 /// Largest storable value: values occupy the low 32 bits of a slot.
 pub const MAX_VALUE: u64 = u32::MAX as u64;
 
-/// The k-process object behind each shard: operations take the caller's
+/// The k-process object behind each shard: writes take the caller's
 /// assigned *name* in `0..k` per the paper's calling convention.
 ///
-/// Implementations must be wait-free for `k` concurrent processes with
-/// distinct names. `len_unguarded` and `scan` must additionally be safe
-/// under arbitrary concurrency (they are what
+/// `put` must be wait-free for `k` concurrent processes with distinct
+/// names. The reads need no name: `get`, `scan` and `len_unguarded`
+/// must be wait-free and safe under arbitrary concurrency, admitted
+/// writers included, with `get` linearizable and `scan` per-entry
+/// atomic. A shard serves them through
 /// [`Resilient::object_unguarded`](kex_core::native::Resilient::object_unguarded)
-/// exposes for monitoring).
+/// with name `0` and no admission (`try_get` is the one read that still
+/// asks for a slot, as the shard's admission probe).
 pub trait ShardObject: Sync {
     /// Read `key`; `None` when absent.
     fn get(&self, name: usize, key: u64) -> Option<u64>;

@@ -8,9 +8,12 @@
 //! Every operation takes the calling process id `p` (in `0..n`, the
 //! per-shard universe) because admission and crash accounting are
 //! per-process — this is a *paper-shaped* API, not a `&self`-hides-all
-//! one. The `try_*` variants shed instead of waiting when taking one of
-//! the target shard's `k` slots would mean waiting (slots consumed by
-//! crashed processes are never free), via
+//! one. As in the paper, a process is sequential: one id is never used
+//! by two threads at once (the k-exclusion algorithms and each shard's
+//! per-process counters rely on it). The `try_*` variants shed instead
+//! of waiting when taking one of the target shard's `k` slots would
+//! mean waiting (slots consumed by crashed processes are never free),
+//! via
 //! [`Resilient::try_with`](kex_core::native::Resilient::try_with).
 
 /// Why a write did not take effect.
@@ -37,12 +40,15 @@ impl std::error::Error for PutError {}
 
 /// Read capability.
 pub trait StoreRead {
-    /// Read `key` as process `p`; `None` when absent. Blocks while the
-    /// owning shard's slots are all held.
+    /// Read `key` as process `p`; `None` when absent. Takes no slot
+    /// (shard object reads are name-free; see
+    /// [`ShardObject`](crate::ShardObject)), so it never waits, even
+    /// while the owning shard's slots are all held.
     fn get(&self, p: usize, key: u64) -> Option<u64>;
 
-    /// Non-blocking [`StoreRead::get`]: `None` means *shed* (the owning
-    /// shard had no free slot), `Some(inner)` is the read's answer.
+    /// Non-blocking [`StoreRead::get`]: always asks for a slot. `None`
+    /// means *shed* (the owning shard had no free slot), `Some(inner)`
+    /// is the read's answer.
     fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>>;
 }
 
@@ -60,7 +66,8 @@ pub trait StoreWrite {
 /// Whole-store iteration capability (monitoring, recovery, analytics).
 pub trait StoreScan {
     /// Visit every present pair, shard by shard, as process `p`.
-    /// Per-entry atomic; not a consistent cut across shards.
+    /// Per-entry atomic; not a consistent cut across shards. Takes no
+    /// slot, like [`StoreRead::get`].
     fn for_each(&self, p: usize, f: &mut dyn FnMut(u64, u64));
 
     /// Approximate number of distinct keys across all shards, without

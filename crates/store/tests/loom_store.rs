@@ -99,7 +99,8 @@ fn racing_same_key_writes_with_crash_in_cs() {
 
 /// The non-blocking surface under a *fully* dead shard: both slots
 /// crash-consumed, so `try_put`/`try_get` must shed (return `None`)
-/// on every schedule rather than admit or hang.
+/// on every schedule rather than admit or hang, while a blocking `get`
+/// (name-free, so never admitted) still answers.
 #[test]
 fn try_ops_shed_when_every_slot_is_crash_consumed() {
     let stats = Builder::new().max_preemptions(2).check(move || {
@@ -116,9 +117,56 @@ fn try_ops_shed_when_every_slot_is_crash_consumed() {
         assert_eq!(store.try_put(2, KEY, 3), None);
         assert_eq!(store.try_get(2, KEY), None);
         assert_eq!(store.stats()[0].in_flight_lanes, 2);
+
+        // A blocking read needs no name, so it skips admission and
+        // answers with a crashed write's value instead of waiting.
+        let seen = store.get(2, KEY);
+        assert!(
+            seen == Some(1) || seen == Some(2),
+            "blocking get on a dead shard: {seen:?}"
+        );
     });
     eprintln!(
         "store full-crash shed: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+/// A name-free `get` races a `put` and a `crash_in_cs` on one key. The
+/// read takes no slot, so it can land anywhere inside either writer's
+/// critical section: it must see the key absent or one of the two
+/// written values, never a torn pair. Afterwards the shard's `ops`
+/// counts exactly the completed read and the finished put; the crashed
+/// put is not an op.
+#[test]
+fn name_free_get_races_a_put_and_a_crash() {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store());
+
+        let crasher = Arc::clone(&store);
+        let t0 = thread::spawn(move || crasher.crash_in_cs(0, KEY, 100));
+        let writer = Arc::clone(&store);
+        let t1 = thread::spawn(move || writer.put(1, KEY, 200).unwrap());
+        let reader = Arc::clone(&store);
+        let t2 = thread::spawn(move || {
+            let seen = reader.get(2, KEY);
+            assert!(
+                matches!(seen, None | Some(100) | Some(200)),
+                "torn or invented value: {seen:?}"
+            );
+        });
+
+        t0.join().unwrap();
+        t1.join().unwrap();
+        t2.join().unwrap();
+
+        let shard = store.stats()[0];
+        assert_eq!(shard.ops, 2, "one read + one finished put");
+        assert_eq!(shard.sheds, 0);
+        assert_eq!(shard.in_flight_lanes, 1);
+    });
+    eprintln!(
+        "name-free read race: {} executions, {} schedule points",
         stats.executions, stats.schedule_points
     );
 }
