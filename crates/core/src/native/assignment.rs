@@ -84,6 +84,13 @@ impl KAssignment {
         self.kex.try_acquire(p).then(|| self.take_name(p, entry))
     }
 
+    /// Read-only admission probe: would [`KAssignment::try_enter`] be
+    /// admitted right now? [`RawKex::has_free_slot`] decides; nothing
+    /// is written and nothing enters, so no Entry span opens.
+    pub fn has_free_slot(&self) -> bool {
+        self.kex.has_free_slot()
+    }
+
     fn take_name(&self, p: usize, entry: crate::obs::SpanGuard) -> NameGuard<'_> {
         let name = self.names.acquire_name();
         drop(entry);

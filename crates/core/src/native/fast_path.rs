@@ -203,6 +203,29 @@ impl RawKex for FastPathKex {
             }
         }
     }
+
+    /// `try_acquire`'s two tests without the grab: `Split` needs a
+    /// fast slot in `X` and a free slot in the block.
+    fn has_free_slot(&self) -> bool {
+        match &self.inner {
+            FastPathInner::Single(b) => b.has_free_slot(),
+            FastPathInner::Split { x, block, .. } => {
+                x.load(ord::SEQ_CST) > 0 && block.has_free_slot()
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn slot_counters(&self) -> Vec<isize> {
+        match &self.inner {
+            FastPathInner::Single(b) => b.slot_counters(),
+            FastPathInner::Split { x, block, .. } => {
+                let mut counters = vec![x.load(ord::SEQ_CST)];
+                counters.extend(block.slot_counters());
+                counters
+            }
+        }
+    }
 }
 
 /// The gracefully degrading construction — Theorems 4 and 8: Figure 4
@@ -343,7 +366,8 @@ impl RawKex for GracefulKex {
 mod tests {
     use super::*;
     use crate::native::testutil::{
-        assert_refusal_leaks_nothing, crash_stress, max_concurrency, occupancy_stress,
+        assert_probe_matches_try, assert_refusal_leaks_nothing, crash_stress, max_concurrency,
+        occupancy_stress,
     };
     use kex_util::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::sync::Arc;
@@ -362,6 +386,24 @@ mod tests {
             panic!("n = 8 > 2k is the split shape");
         };
         assert_eq!(x.load(SeqCst), 2, "every fast slot is back");
+    }
+
+    #[test]
+    fn probe_answers_like_a_try_and_writes_nothing() {
+        // Single (n <= 2k) forwards to its block; Split (n > 2k) reads X
+        // and the block.
+        assert_probe_matches_try(|| FastPathKex::new(4, 2));
+        assert_probe_matches_try(|| FastPathKex::new(8, 2));
+        assert_probe_matches_try(|| FastPathKex::new(5, 1));
+    }
+
+    #[test]
+    fn kexes_without_try_acquire_never_report_a_free_slot() {
+        use crate::native::tree::TreeKex;
+        assert!(!TreeKex::cc(8, 2).has_free_slot());
+        assert!(!GracefulKex::new(8, 2).has_free_slot());
+        assert!(!FastPathKex::new_dsm(8, 2).has_free_slot());
+        assert!(!FastPathKex::new_dsm(4, 2).has_free_slot());
     }
 
     #[test]
@@ -392,14 +434,17 @@ mod tests {
                 kex_util::sync::thread::yield_now();
             }
             let x_before = x.load(SeqCst);
+            let probed = kex.has_free_slot();
             let admitted = kex.try_acquire(2);
             let x_after = x.load(SeqCst);
             // Let B leave before asserting, so a failure cannot hang.
             b_leave.store(true, SeqCst);
             assert_eq!(x_before, 1, "A returned the fast slot");
+            assert!(!probed, "the probe must check the block, not only X");
             assert!(!admitted, "B fills the block");
             assert_eq!(x_after, 1, "the refused try put X back");
         });
+        assert!(kex.has_free_slot());
         assert!(kex.try_acquire(2));
         kex.release(2);
         assert_eq!(x.load(SeqCst), 1);

@@ -71,6 +71,11 @@ impl CcStage {
             .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |v| (v > 0).then_some(v - 1))
             .is_ok()
     }
+
+    /// [`CcStage::try_acquire`]'s test without the decrement: is `X > 0`?
+    pub(crate) fn has_free_slot(&self) -> bool {
+        self.x.load(ord::SEQ_CST) > 0
+    }
 }
 
 /// Theorem 1's inductive chain: `(N, k)`-exclusion as Figure-2 stages
@@ -163,13 +168,22 @@ impl RawKex for CcChainKex {
         }
         admitted
     }
+
+    fn has_free_slot(&self) -> bool {
+        self.stages.iter().all(CcStage::has_free_slot)
+    }
+
+    #[cfg(test)]
+    fn slot_counters(&self) -> Vec<isize> {
+        self.stages.iter().map(|s| s.x.load(ord::SEQ_CST)).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::native::testutil::{
-        assert_refusal_leaks_nothing, occupancy_stress, OccupancyReport,
+        assert_probe_matches_try, assert_refusal_leaks_nothing, occupancy_stress, OccupancyReport,
     };
     use kex_util::sync::atomic::Ordering::SeqCst;
 
@@ -205,6 +219,12 @@ mod tests {
         assert_refusal_leaks_nothing(std::sync::Arc::clone(&kex));
         let xs: Vec<isize> = kex.stages.iter().map(|s| s.x.load(SeqCst)).collect();
         assert_eq!(xs, [4, 3, 2], "every stage's X is back at its j");
+    }
+
+    #[test]
+    fn probe_answers_like_a_try_and_writes_nothing() {
+        assert_probe_matches_try(|| CcChainKex::new(5, 2));
+        assert_probe_matches_try(|| CcChainKex::new(3, 2));
     }
 
     #[test]

@@ -46,10 +46,28 @@ pub trait RawKex: Send + Sync {
     /// no trace. The default always refuses, which is sound because a
     /// shedding caller must never be admitted when it would have to
     /// wait. `CcChainKex` and `FastPathKex::new` override it with
-    /// footnote 2's range-safe decrement; the tree, graceful, DSM
-    /// (hence `FastPathKex::new_dsm`) and baseline algorithms do not.
+    /// footnote 2's range-safe decrement (and [`RawKex::has_free_slot`]
+    /// with its read-only twin); the tree, graceful, DSM (hence
+    /// `FastPathKex::new_dsm`) and baseline algorithms do not.
     fn try_acquire(&self, _p: usize) -> bool {
         false
+    }
+
+    /// Read-only admission probe: would [`RawKex::try_acquire`] succeed
+    /// right now? It reads the same footnote-2 counters and writes
+    /// nothing, for callers that need only the shed signal, not a slot.
+    /// The default answers `false`, matching `try_acquire`'s default
+    /// refusal; `CcChainKex` and `FastPathKex::new` override both.
+    fn has_free_slot(&self) -> bool {
+        false
+    }
+
+    /// Every slot counter, in a fixed order, so tests can check that a
+    /// probe leaves them all unchanged. Empty for algorithms without
+    /// footnote-2 counters.
+    #[cfg(test)]
+    fn slot_counters(&self) -> Vec<isize> {
+        Vec::new()
     }
 
     /// RAII-style entry: acquires and returns a guard that releases on

@@ -134,6 +134,15 @@ impl<O: Sync> Resilient<O> {
         })
     }
 
+    /// Read-only admission probe: would [`Resilient::try_enter`] be
+    /// admitted right now? It takes no slot and no name, so a caller
+    /// that needs only the shed signal (e.g. before a name-free read
+    /// through [`Resilient::object_unguarded`]) pays no writes. See
+    /// [`KAssignment::has_free_slot`].
+    pub fn has_free_slot(&self) -> bool {
+        self.assign.has_free_slot()
+    }
+
     /// Perform an operation: process `p` enters the wrapper, runs `f`
     /// with the object and its assigned name, and leaves.
     ///

@@ -151,6 +151,40 @@ pub(crate) fn assert_refusal_leaks_nothing<K: RawKex + 'static>(kex: Arc<K>) {
     kex.release(k);
 }
 
+/// Checks [`RawKex::has_free_slot`] against [`RawKex::try_acquire`] on
+/// fresh instances from `make`. With `h = 0..=k` slots held, first by
+/// live guards and then by forgotten ones (crashes), the probe answers
+/// `h < k`, agrees with a try that is released right after, and leaves
+/// every slot counter as it found it.
+pub(crate) fn assert_probe_matches_try<K: RawKex>(make: impl Fn() -> K) {
+    let initial = make().slot_counters();
+    assert!(!initial.is_empty(), "no counters to check");
+    let k = make().k();
+    for crash in [false, true] {
+        for h in 0..=k {
+            let kex = make();
+            let mut live: Vec<_> = (0..h).map(|p| kex.enter(p)).collect();
+            if crash {
+                live.drain(..).for_each(std::mem::forget);
+            }
+            let held = kex.slot_counters();
+            let free = kex.has_free_slot();
+            assert_eq!(kex.slot_counters(), held, "h = {h}: the probe wrote");
+            assert_eq!(free, h < k, "h = {h} of k = {k}, crash = {crash}");
+            let admitted = kex.try_acquire(h);
+            if admitted {
+                kex.release(h);
+            }
+            assert_eq!(admitted, free, "h = {h}: probe and try disagree");
+            assert_eq!(kex.slot_counters(), held, "h = {h}: the try leaked");
+            drop(live);
+            if !crash {
+                assert_eq!(kex.slot_counters(), initial, "h = {h}: a guard leaked");
+            }
+        }
+    }
+}
+
 /// Blocking-acquires pids `0..count` on a helper thread. Panics if they
 /// are not all held within two seconds, i.e. if an acquisition waited.
 fn hold_without_waiting<K: RawKex + 'static>(kex: &Arc<K>, count: usize) {

@@ -520,6 +520,62 @@ fn resilient_try_enter_races_enter_single_n3_k2() {
     check_try_enter_races_enter("resilient try/enter single (3,2)", 2);
 }
 
+/// The read-only probe racing crashes on `Resilient::new(3, k, ())`:
+/// pids `0..k` enter and crash in the critical section (forgotten
+/// guards) while pid `k` probes, tries once, and probes again. Crashed
+/// holders only ever take slots, so every counter the probe reads only
+/// falls while the prober is between its own operations: a refusal from
+/// either the probe or the try must be repeated by everything after it.
+/// A probe that refused while a try would be admitted, or that saw a
+/// slot the preceding try could not take, fails the model. Once all `k`
+/// have crashed, the probe is `false` and a try is refused in every
+/// schedule.
+fn check_probe_races_crashes(name: &'static str, k: usize) {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let r = Arc::new(Resilient::new(3, k, ()));
+        let crashers: Vec<_> = (0..k)
+            .map(|p| {
+                let r = Arc::clone(&r);
+                thread::spawn(move || std::mem::forget(r.enter(p)))
+            })
+            .collect();
+        let prober = {
+            let r = Arc::clone(&r);
+            thread::spawn(move || {
+                let before = r.has_free_slot();
+                let admitted = r.try_enter(k).is_some();
+                let after = r.has_free_slot();
+                assert!(before || !admitted, "the probe refused, then a try got in");
+                assert!(
+                    admitted || !after,
+                    "a try was refused, then the probe saw a slot"
+                );
+            })
+        };
+        for h in crashers.into_iter().chain([prober]) {
+            h.join().unwrap();
+        }
+        assert!(!r.has_free_slot(), "k crashed holders, yet a free slot");
+        assert!(r.try_enter(k).is_none());
+    });
+    eprintln!(
+        "{name}: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+#[test]
+fn resilient_probe_races_crashes_split_n3_k1() {
+    // n = 3 > 2k: the probe reads the fast-path `X`, then the block's.
+    check_probe_races_crashes("resilient probe/crash split (3,1)", 1);
+}
+
+#[test]
+fn resilient_probe_races_crashes_single_n3_k2() {
+    // n = 3 <= 2k: the probe reads every stage of the (3, 2) chain.
+    check_probe_races_crashes("resilient probe/crash single (3,2)", 2);
+}
+
 // --- observability is inert under loom ------------------------------------
 
 /// Under `cfg(loom)` the `kex_core::obs` shim must be a zero-sized

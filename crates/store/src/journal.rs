@@ -11,9 +11,11 @@
 //! exactly the in-flight operation the crash interrupted — which is what
 //! a recovery pass (or the crash-mix benchmark) reads back out.
 //!
-//! Lanes are fixed-depth rings; only the most recent `depth` entries are
-//! retained. The head advances on *commit*, so the in-flight entry (if
-//! any) always lives at `head % depth`.
+//! Lanes are fixed-size rings; only the most recent `depth` entries are
+//! retained. Each ring has `depth + 1` slots, so the slot the next
+//! `begin` overwrites never holds a retained entry. The head advances on
+//! *commit*, so the in-flight entry (if any) always lives at
+//! `head % (depth + 1)`.
 
 use kex_util::sync::atomic::AtomicU64;
 use kex_util::CachePadded;
@@ -60,8 +62,8 @@ const STATE_ABORTED: u64 = 3;
 /// meta = `lsn << 4 | kind << 2 | state` (60-bit lsn).
 const META_BITS: u32 = 4;
 
-/// One name's ring: a head counter plus `depth` (meta, key, value) slot
-/// triples, padded so lanes never share a cache line.
+/// One name's ring: a head counter plus `depth + 1` (meta, key, value)
+/// slot triples, padded so lanes never share a cache line.
 struct Lane {
     head: CachePadded<AtomicU64>,
     meta: Vec<AtomicU64>,
@@ -89,13 +91,14 @@ impl LaneJournal {
     /// most recent `depth` entries (`depth` rounded up to at least 1).
     pub fn new(k: usize, depth: usize) -> Self {
         let depth = depth.max(1);
+        let slots = depth + 1;
         LaneJournal {
             lanes: (0..k)
                 .map(|_| Lane {
                     head: CachePadded::new(AtomicU64::new(0)),
-                    meta: (0..depth).map(|_| AtomicU64::new(STATE_EMPTY)).collect(),
-                    keys: (0..depth).map(|_| AtomicU64::new(0)).collect(),
-                    vals: (0..depth).map(|_| AtomicU64::new(0)).collect(),
+                    meta: (0..slots).map(|_| AtomicU64::new(STATE_EMPTY)).collect(),
+                    keys: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+                    vals: (0..slots).map(|_| AtomicU64::new(0)).collect(),
                 })
                 .collect(),
             depth,
@@ -112,6 +115,11 @@ impl LaneJournal {
         self.depth
     }
 
+    /// Ring slot of entry `lsn`: one more slot than retained entries.
+    fn slot(&self, lsn: u64) -> usize {
+        (lsn % (self.depth as u64 + 1)) as usize
+    }
+
     /// Journal the start of an operation on `name`'s lane; returns the
     /// entry's lane-local sequence number for [`LaneJournal::commit`] /
     /// [`LaneJournal::abort`].
@@ -121,7 +129,7 @@ impl LaneJournal {
     pub fn begin(&self, name: usize, kind: OpKind, key: u64, value: u64) -> u64 {
         let lane = &self.lanes[name];
         let lsn = lane.head.load(SEQ_CST);
-        let slot = (lsn % self.depth as u64) as usize;
+        let slot = self.slot(lsn);
         lane.keys[slot].store(key, SEQ_CST);
         lane.vals[slot].store(value, SEQ_CST);
         let kind = match kind {
@@ -135,12 +143,12 @@ impl LaneJournal {
 
     fn finish(&self, name: usize, lsn: u64, state: u64) {
         let lane = &self.lanes[name];
-        let slot = (lsn % self.depth as u64) as usize;
+        let slot = self.slot(lsn);
         let meta = lane.meta[slot].load(SEQ_CST);
         debug_assert_eq!(meta >> META_BITS, lsn, "finish of a non-head entry");
         lane.meta[slot].store(meta & !0b11 | state, SEQ_CST);
         // Advancing the head only now keeps the in-flight entry (if the
-        // writer dies first) pinned at `head % depth`.
+        // writer dies first) pinned at `head`'s slot.
         lane.head.store(lsn + 1, SEQ_CST);
     }
 
@@ -157,9 +165,20 @@ impl LaneJournal {
 
     fn decode(&self, name: usize, lsn: u64) -> Option<Entry> {
         let lane = &self.lanes[name];
-        let slot = (lsn % self.depth as u64) as usize;
+        let slot = self.slot(lsn);
         let meta = lane.meta[slot].load(SEQ_CST);
         if meta & 0b11 == STATE_EMPTY || meta >> META_BITS != lsn {
+            return None;
+        }
+        let key = lane.keys[slot].load(SEQ_CST);
+        let value = lane.vals[slot].load(SEQ_CST);
+        // The slot is rewritten only by `begin(lsn + depth + 1)`, which
+        // runs after the head reaches `lsn + depth + 1`. A head still
+        // below that after the payload loads means the payload is entry
+        // `lsn`'s; otherwise it may be half the next entry's, so drop
+        // it. Every retained entry (`lsn >= head - depth`) passes while
+        // its lane is idle.
+        if lane.head.load(SEQ_CST) > lsn + self.depth as u64 {
             return None;
         }
         Some(Entry {
@@ -170,17 +189,18 @@ impl LaneJournal {
                 STATE_COMMITTED => OpState::Committed,
                 _ => OpState::Aborted,
             },
-            key: lane.keys[slot].load(SEQ_CST),
-            value: lane.vals[slot].load(SEQ_CST),
+            key,
+            value,
         })
     }
 
     /// The begun-but-unfinished operation on `name`'s lane, if any —
     /// after a crash, the attributable in-flight op the holder died in.
     ///
-    /// Sound to call from any process for lanes whose holder is gone;
-    /// racing it against a *live* holder yields a momentary in-flight
-    /// entry, which is an accurate answer, not a torn one.
+    /// Sound to call from any process for lanes whose holder is gone.
+    /// Racing it against a *live* holder yields either a momentary
+    /// in-flight entry or `None`, never a torn one: an entry whose slot
+    /// the holder may have started to reuse is dropped.
     pub fn in_flight(&self, name: usize) -> Option<Entry> {
         let head = self.lanes[name].head.load(SEQ_CST);
         self.decode(name, head)
@@ -200,11 +220,13 @@ impl LaneJournal {
     }
 
     /// The retained tail of `name`'s lane, oldest first (completed
-    /// entries plus a trailing in-flight one, if any).
+    /// entries plus a trailing in-flight one, if any). Racing a live
+    /// holder, an entry whose slot is being reused drops out rather
+    /// than mixing two entries' fields.
     pub fn history(&self, name: usize) -> Vec<Entry> {
-        // Candidate lsns span one ring plus the (possibly in-flight)
-        // head entry; `decode` rejects slots whose stored lsn does not
-        // match, so overwritten history simply drops out.
+        // Candidate lsns are the `depth` retained entries plus the
+        // (possibly in-flight) head entry; `decode` rejects slots whose
+        // stored lsn does not match, so overwritten history drops out.
         let head = self.lanes[name].head.load(SEQ_CST);
         let first = head.saturating_sub(self.depth as u64);
         (first..=head)
@@ -271,10 +293,29 @@ mod tests {
             j.commit(0, lsn);
         }
         let hist = j.history(0);
-        assert!(hist.len() <= 4, "ring overflowed: {hist:?}");
-        assert_eq!(hist.last().unwrap().key, 9);
+        let keys: Vec<u64> = hist.iter().map(|e| e.key).collect();
+        assert_eq!(keys, [6, 7, 8, 9], "exactly the last `depth` entries");
         for w in hist.windows(2) {
             assert_eq!(w[1].lsn, w[0].lsn + 1);
         }
+    }
+
+    #[test]
+    fn depth_one_keeps_the_last_committed_entry() {
+        let j = LaneJournal::new(1, 1);
+        let lsn = j.begin(0, OpKind::Put, 1, 10);
+        j.commit(0, lsn);
+        let hist = j.history(0);
+        assert_eq!(hist.len(), 1, "the one retained entry is lost: {hist:?}");
+        assert_eq!((hist[0].key, hist[0].value), (1, 10));
+
+        // A second put in flight still leaves the committed one whole.
+        j.begin(0, OpKind::Put, 2, 20);
+        let states: Vec<_> = j.history(0).iter().map(|e| (e.key, e.state)).collect();
+        assert_eq!(
+            states,
+            [(1, OpState::Committed), (2, OpState::InFlight)],
+            "the in-flight entry must not evict the retained one"
+        );
     }
 }

@@ -34,8 +34,9 @@ pub const MAX_VALUE: u64 = u32::MAX as u64;
 /// writers included, with `get` linearizable and `scan` per-entry
 /// atomic. A shard serves them through
 /// [`Resilient::object_unguarded`](kex_core::native::Resilient::object_unguarded)
-/// with name `0` and no admission (`try_get` is the one read that still
-/// asks for a slot, as the shard's admission probe).
+/// with name `0` and no admission; `try_get` first asks
+/// [`Resilient::has_free_slot`](kex_core::native::Resilient::has_free_slot)
+/// whether to shed, but takes no slot either.
 pub trait ShardObject: Sync {
     /// Read `key`; `None` when absent.
     fn get(&self, name: usize, key: u64) -> Option<u64>;

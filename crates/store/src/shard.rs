@@ -11,8 +11,10 @@
 //!
 //! An op pays only for the layers it needs. The wrapper exists to hand
 //! the object its names, and [`ShardObject`] reads need none, so a
-//! blocking read skips admission and calls the object directly. Writes
-//! always take a name, because the journal lane is indexed by it.
+//! blocking read skips admission and calls the object directly. A
+//! non-blocking read needs only the shed signal, so it reads the slot
+//! counters without taking a slot. Writes always take a name, because
+//! the journal lane is indexed by it.
 
 use kex_core::native::Resilient;
 use kex_util::sync::atomic::AtomicU64;
@@ -115,10 +117,16 @@ impl<O: ShardObject> Shard<O> {
         got
     }
 
-    /// Non-blocking guarded read; `None` = shed. The admission probe:
-    /// it sheds exactly when taking a slot would mean waiting.
+    /// Non-blocking read; `None` = shed. It sheds when a
+    /// [`Shard::try_put`] arriving now would be refused, but it only
+    /// *reads* the slot counters ([`Resilient::has_free_slot`]) and
+    /// then reads the object like [`Shard::get`]: it takes no slot, so
+    /// it never makes a concurrent `try_put` shed.
     pub fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>> {
-        let got = self.res.try_with(p, |obj, name| obj.get(name, key));
+        let got = self
+            .res
+            .has_free_slot()
+            .then(|| self.res.object_unguarded().get(0, key));
         let counts = &self.counts[p];
         PidCounts::bump(if got.is_some() {
             &counts.reads

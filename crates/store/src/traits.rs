@@ -12,9 +12,12 @@
 //! by two threads at once (the k-exclusion algorithms and each shard's
 //! per-process counters rely on it). The `try_*` variants shed instead
 //! of waiting when taking one of the target shard's `k` slots would
-//! mean waiting (slots consumed by crashed processes are never free),
-//! via
-//! [`Resilient::try_with`](kex_core::native::Resilient::try_with).
+//! mean waiting (slots consumed by crashed processes are never free).
+//! `try_put` takes its slot through
+//! [`Resilient::try_with`](kex_core::native::Resilient::try_with);
+//! `try_get` only asks
+//! [`Resilient::has_free_slot`](kex_core::native::Resilient::has_free_slot)
+//! and takes none.
 
 /// Why a write did not take effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +49,11 @@ pub trait StoreRead {
     /// while the owning shard's slots are all held.
     fn get(&self, p: usize, key: u64) -> Option<u64>;
 
-    /// Non-blocking [`StoreRead::get`]: always asks for a slot. `None`
-    /// means *shed* (the owning shard had no free slot), `Some(inner)`
-    /// is the read's answer.
+    /// Non-blocking [`StoreRead::get`]: first probes the owning shard's
+    /// slot counters without taking a slot. `None` means *shed* (the
+    /// shard had no free slot, so a `try_put` would have been refused
+    /// too), `Some(inner)` is the read's answer. A served `try_get`
+    /// holds no slot, so it never makes a concurrent `try_put` shed.
     fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>>;
 }
 

@@ -13,21 +13,27 @@
 //! route → k-exclusion → renaming → object → journal — is explored.
 //! The headline model has two processes race `StoreWrite::put` on the
 //! *same key* while one of them crash-fails inside its critical
-//! section.
+//! section. The others pin the non-blocking surface (permanent shedding
+//! on a dead shard, and a `try_get` that takes no slot), name-free reads
+//! racing writers, and journal reads racing a lane that wraps its ring.
 
 #![cfg(loom)]
 
 use std::sync::Arc;
 
 use kex_loom::{thread, Builder};
-use kex_store::{KvStore, OpState, StoreConfig, StoreRead, StoreWrite};
+use kex_store::{Entry, KvStore, OpState, StoreConfig, StoreRead, StoreWrite};
 
 fn tiny_store() -> KvStore {
+    store_with_depth(2)
+}
+
+fn store_with_depth(journal_depth: usize) -> KvStore {
     // One shard keeps the model honest (both writers *must* collide on
     // the same wrapper) and small: n = 3, k = 2 — one crash survivable.
     let mut cfg = StoreConfig::new(1, 3, 2);
     cfg.capacity = 4;
-    cfg.journal_depth = 2;
+    cfg.journal_depth = journal_depth;
     KvStore::new(cfg)
 }
 
@@ -167,6 +173,85 @@ fn name_free_get_races_a_put_and_a_crash() {
     });
     eprintln!(
         "name-free read race: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+/// A `try_get` races a `try_put` on a shard with one crashed holder, so
+/// exactly one live slot is left. The read only probes the slot
+/// counters and takes no slot, so the write is never shed; the read may
+/// be (the write can hold the last slot when it probes), and then it
+/// is counted as a shed, not an op.
+#[test]
+fn try_get_never_makes_a_racing_try_put_shed() {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store());
+        store.crash_in_cs(0, KEY, 100);
+
+        let writer = Arc::clone(&store);
+        let t1 = thread::spawn(move || {
+            let outcome = writer.try_put(1, KEY, 200);
+            assert_eq!(outcome, Some(Ok(())), "the reader took the last slot");
+        });
+        let reader = Arc::clone(&store);
+        let t2 = thread::spawn(move || {
+            let got = reader.try_get(2, KEY);
+            assert!(
+                matches!(got, None | Some(Some(100)) | Some(Some(200))),
+                "torn or invented value: {got:?}"
+            );
+            got.is_some()
+        });
+        t1.join().unwrap();
+        let served = t2.join().unwrap();
+
+        let shard = store.stats()[0];
+        assert_eq!(shard.ops, 1 + u64::from(served), "one put + a served read");
+        assert_eq!(shard.sheds, u64::from(!served));
+        assert_eq!(shard.in_flight_lanes, 1);
+    });
+    eprintln!(
+        "try_get probe vs try_put: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+/// With `journal_depth = 1` a lane's ring has two slots, so the third
+/// put reuses the first put's slot. A reader walking `history` while the
+/// holder journals three puts must see each entry whole, with the key
+/// and value that entry's own put wrote, or not at all; it must never
+/// pair one entry's lsn and value with a later entry's key. Once the
+/// writer has joined, the last put is retained.
+#[test]
+fn journal_history_never_mixes_two_entries() {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(store_with_depth(1));
+
+        let writer = Arc::clone(&store);
+        let t0 = thread::spawn(move || {
+            for key in 1..=3 {
+                writer.put(0, key, key * 10).unwrap();
+            }
+        });
+        let journal = store.shard(0).journal();
+        let whole = |e: Entry| e.key == e.lsn + 1 && e.value == e.key * 10;
+        for name in 0..journal.lanes() {
+            for e in journal.history(name) {
+                assert!(whole(e), "torn journal entry: {e:?}");
+            }
+        }
+        t0.join().unwrap();
+
+        let retained: Vec<Entry> = (0..journal.lanes())
+            .flat_map(|name| journal.history(name))
+            .collect();
+        assert_eq!(retained.len(), 1, "depth 1 retains one entry: {retained:?}");
+        let last = retained[0];
+        assert!(whole(last) && last.lsn == 2, "lost the last put: {last:?}");
+        assert_eq!(last.state, OpState::Committed);
+    });
+    eprintln!(
+        "journal read vs ring reuse: {} executions, {} schedule points",
         stats.executions, stats.schedule_points
     );
 }
